@@ -6,9 +6,9 @@ undirected edge becomes a pair of uncapacitated arcs, and the connectivity
 between two non-adjacent nodes equals the max flow between them.  Following
 Even and Tarjan, the global value is the minimum of those local values over
 (a) all nodes non-adjacent to a fixed minimum-degree node s and (b) all
-non-adjacent pairs of neighbors of s.  Max flows are delegated to
-scipy.sparse.csgraph; everything around them (reduction, pair enumeration,
-cut recovery, degree/component bookkeeping) is local.
+non-adjacent pairs of neighbors of s.  Max flows and graph searches are
+delegated to scipy.sparse.csgraph; everything around them (reduction, pair
+enumeration, cut recovery, articulation test, degree bookkeeping) is local.
 
 All functions are pure; scratch state is per call, so concurrent use on
 distinct graphs is safe.
@@ -21,7 +21,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, maximum_flow
+from scipy.sparse.csgraph import (breadth_first_order, connected_components,
+                                  depth_first_order, maximum_flow)
 
 
 class Graph:
@@ -43,12 +44,11 @@ class Graph:
             if (e[:, 0] == e[:, 1]).any():
                 raise ValueError("self-loops are not allowed")
             e = np.sort(e, axis=1)
-            codes = e[:, 0].astype(np.int64) * n + e[:, 1]
-            uniq = np.unique(codes)
-            if uniq.size != codes.size:
+            codes = np.sort(e[:, 0].astype(np.int64) * n + e[:, 1])
+            if (codes[1:] == codes[:-1]).any():
                 raise ValueError("duplicate edges are not allowed")
-            e = np.stack([(uniq // n).astype(np.int32),
-                          (uniq % n).astype(np.int32)], axis=1)
+            e = np.stack([(codes // n).astype(np.int32),
+                          (codes % n).astype(np.int32)], axis=1)
         self.n = int(n)
         self.edges = e
         both_u = np.concatenate([e[:, 0], e[:, 1]])
@@ -108,15 +108,16 @@ def min_degree(g) -> int:
     return int(g.degrees.min())
 
 
+def _adjacency(g: Graph) -> csr_matrix:
+    return csr_matrix((np.ones(g.indices.size, dtype=np.int8), g.indices, g.indptr),
+                      shape=(g.n, g.n))
+
+
 def component_count(g) -> int:
     g = as_graph(g)
     if g.n == 1:
         return 1
-    adj = csr_matrix(
-        (np.ones(g.indices.size, dtype=np.int8), g.indices, g.indptr),
-        shape=(g.n, g.n),
-    )
-    count, _ = connected_components(adj, directed=False)
+    count, _ = connected_components(_adjacency(g), directed=False)
     return int(count)
 
 
@@ -164,18 +165,10 @@ def _local_connectivity(mat: csr_matrix, src: int, dst: int):
 def _cut_from_flow(g: Graph, mat: csr_matrix, src: int, dst: int) -> np.ndarray:
     """Recover the source-side minimum vertex cut of one max flow."""
     res = (mat - _local_connectivity(mat, src, dst).flow).tocsr()
+    res.eliminate_zeros()  # residual capacities are >= 0; keep the open arcs
     reach = np.zeros(2 * g.n, dtype=bool)
-    stack = [2 * src + 1]
-    reach[2 * src + 1] = True
-    while stack:
-        a = stack.pop()
-        lo, hi = res.indptr[a], res.indptr[a + 1]
-        for b, cap in zip(res.indices[lo:hi], res.data[lo:hi]):
-            if cap > 0 and not reach[b]:
-                reach[b] = True
-                stack.append(int(b))
-    cut = np.flatnonzero(reach[0::2] & ~reach[1::2]).astype(np.int32)
-    return cut
+    reach[breadth_first_order(res, 2 * src + 1, return_predecessors=False)] = True
+    return np.flatnonzero(reach[0::2] & ~reach[1::2]).astype(np.int32)
 
 
 def vertex_connectivity(g) -> tuple:
@@ -202,6 +195,10 @@ def vertex_connectivity(g) -> tuple:
         if best is None or value < best:
             best = value
             best_pair = (src, dst)
+            # Stop at a proven lower bound: 1 (connected), or 2 once the
+            # graph is known biconnected; no later pair can improve strictly.
+            if best == 1 or (best == 2 and _is_biconnected(g)):
+                break
     # A connected non-complete graph always yields at least one pair, and the
     # strict-improvement update keeps the first pair attaining the minimum.
     cut = _cut_from_flow(g, mat, *best_pair)
@@ -211,45 +208,33 @@ def vertex_connectivity(g) -> tuple:
 
 
 def _is_biconnected(g: Graph) -> bool:
-    """Connected with no articulation point (iterative lowpoint DFS)."""
+    """Connected with no articulation point (Hopcroft-Tarjan on scipy's DFS).
+
+    Every non-tree edge of a depth-first tree joins a node to an ancestor.
+    So a non-root node v is an articulation point iff some child c has
+    low(c) >= pre(v), low(c) being the least preorder number adjacent to c's
+    subtree (the tree edge c-v only reaches pre(v)); the root is one iff it
+    has more than one child.
+    """
     n = g.n
     if n < 3:
         # Two nodes: biconnected iff the edge exists (complete graph case).
         return g.m == n * (n - 1) // 2
-    disc = np.full(n, -1, dtype=np.int64)
-    low = np.zeros(n, dtype=np.int64)
-    parent = np.full(n, -1, dtype=np.int64)
-    disc[0] = low[0] = 0
-    timer = 1
-    root_children = 0
-    path = [0]
-    cursor = [g.indptr[0]]
-    while path:
-        u = path[-1]
-        if cursor[-1] < g.indptr[u + 1]:
-            v = int(g.indices[cursor[-1]])
-            cursor[-1] += 1
-            if disc[v] < 0:
-                parent[v] = u
-                disc[v] = low[v] = timer
-                timer += 1
-                if u == 0:
-                    root_children += 1
-                path.append(v)
-                cursor.append(g.indptr[v])
-            elif v != parent[u]:
-                low[u] = min(low[u], disc[v])
-        else:
-            path.pop()
-            cursor.pop()
-            if path:
-                p = path[-1]
-                low[p] = min(low[p], low[u])
-                if p != 0 and low[u] >= disc[p]:
-                    return False
-    if timer < n:
+    order, parent = depth_first_order(_adjacency(g), 0, directed=True)
+    if order.size < n:
         return False  # disconnected
-    return root_children <= 1
+    pre = np.empty(n, dtype=np.int64)
+    pre[order] = np.arange(n)
+    # Connected, so every node has a neighbour and no reduceat segment is empty.
+    low = np.minimum.reduceat(pre[g.indices], g.indptr[:-1])[order].tolist()
+    up = pre[parent[order[1:]]].tolist()  # up[i-1]: parent's preorder, node i
+    for i in range(n - 1, 0, -1):
+        p = up[i - 1]
+        if p and low[i] >= p:
+            return False
+        if low[i] < low[p]:
+            low[p] = low[i]
+    return up.count(0) <= 1
 
 
 def is_k_connected(g, k: int) -> bool:

@@ -199,7 +199,9 @@ def _run_trials(params: ModelParams, row_master: int, trials: int,
 
 
 def _aggregate_rows(spec: ExperimentSpec, value, params: ModelParams,
-                    k_list: tuple, stats: list) -> list:
+                    k_list: tuple, stats: list, thresholds: dict) -> list:
+    """Rows for one sweep value; ``thresholds`` holds the run's solved
+    threshold_K1 per (alpha, k), the only solver inputs a sweep can vary."""
     trials = len(stats)
     deltas = [s[0] for s in stats]
     kappas = [s[1] for s in stats]
@@ -215,9 +217,11 @@ def _aggregate_rows(spec: ExperimentSpec, value, params: ModelParams,
         rec = spec.record
         threshold_K1 = None
         if spec.rule is not None:
-            sol = solve_threshold(params.n, params.P, params.mu, params.alpha,
-                                  int(k), spec.rule)
-            threshold_K1 = sol.K1_min
+            key = (params.alpha, int(k))
+            if key not in thresholds:
+                thresholds[key] = solve_threshold(params.n, params.P, params.mu,
+                                                  params.alpha, int(k), spec.rule).K1_min
+            threshold_K1 = thresholds[key]
         main_count = c_conn if rec.k_connectivity else c_deg
         rows.append(ExperimentRow(
             experiment=spec.name,
@@ -246,6 +250,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     if spec.sweep_kind == "depth":
         return deletion_experiment(spec, workers=workers)
     rows = []
+    thresholds = {}
     for row_idx, value in enumerate(spec.sweep_values):
         params, k_list = _row_params(spec, value)
         need_kappa = spec.record.vertex_cut_curve or (
@@ -253,7 +258,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
         row_master = derive_master(spec.master_seed, row_idx)
         stats = _run_trials(params, row_master, spec.trials, k_list,
                             need_kappa, workers)
-        rows.extend(_aggregate_rows(spec, value, params, k_list, stats))
+        rows.extend(_aggregate_rows(spec, value, params, k_list, stats, thresholds))
     stamp = RunStamp(spec.master_seed, spec.trials, __version__)
     return ExperimentResult(rows=tuple(rows), stamp=stamp, spec=spec)
 

@@ -32,7 +32,7 @@ class ModelParams:
 
     Args:
         n: number of nodes (>= 2).
-        mu: class probabilities, all positive.  Must sum to 1 within
+        mu: class probabilities, all positive and finite.  Must sum to 1 within
             ``MU_SUM_TOL`` unless ``normalize_mu=True``, in which case the
             given positive weights are rescaled once and the rescaling is
             recorded in ``mu_was_normalized``.
@@ -59,8 +59,8 @@ class ModelParams:
             raise ValueError("P must be a positive integer")
         if len(K) < 1 or len(mu) != len(K):
             raise ValueError("mu and K must be non-empty and the same length")
-        if any(m <= 0 for m in mu):
-            raise ValueError("every class probability must be positive")
+        if not all(math.isfinite(m) and m > 0 for m in mu):
+            raise ValueError("every class probability must be positive and finite")
         total = math.fsum(mu)
         normalized = False
         if normalize_mu:

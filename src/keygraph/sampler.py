@@ -15,9 +15,11 @@ always reproduces the same network, bit for bit:
 3. channel indicators: one uniform per unordered node pair, row-major
    (pairs (0,1)..(0,n-1), then (1,2)..), compared against alpha.
 
-Key-sharing pairs are found through a key -> holders index rather than by
-testing every pair, which changes nothing observable: the edge set equals
-the naive double loop over pairs for the same stream.
+The work is batched without changing that order: rings of one size run
+Floyd's steps together, channel uniforms come in blocks of whole rows that
+each key-sharing pair indexes triangularly, and key-sharing pairs come from
+a key -> holders index, not a test of every pair.  The result equals the
+per-node, per-row, per-pair loops over the same stream, bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ __all__ = ["SeedSpec", "SampledNetwork", "sample_network", "intersect_rings",
 
 # Floyd's sampling avoids O(P) state but degrades as K/P grows; cutoff per pool.
 _FLOYD_MAX_RING_FRACTION = 64
+# Channel uniforms drawn per rng.random call (whole rows), bounding memory.
+_CHANNEL_CHUNK = 1 << 20
 
 
 def intersect_rings(a, b) -> bool:
@@ -94,46 +98,44 @@ class SampledNetwork:
         return self._graph
 
 
-def _draw_ring(u: np.ndarray, P: int) -> np.ndarray:
-    """One uniform key ring of size len(u) from [0, P), consuming u in order."""
-    K = len(u)
+def _draw_rings(u: np.ndarray, P: int) -> np.ndarray:
+    """Sorted key rings of size K from [0, P), one per row of ``u`` (m, K).
+
+    Row i consumes u[i] in order.  Small rings (K <= P/64) use Floyd's subset
+    sampling for all rows at once: step s draws t = floor(u[:, s] * (j+1))
+    with j = P-K+s, and takes j instead when t is already in the row.
+    """
+    m, K = u.shape
+    out = np.empty((m, K), dtype=np.int64)
     if K > P // _FLOYD_MAX_RING_FRACTION:
         # Partial Fisher-Yates over an implicit identity array, sparse storage.
-        perm = {}
-        out = np.empty(K, dtype=np.int64)
-        for j in range(K):
-            t = j + int(u[j] * (P - j))
-            vt = perm.get(t, t)
-            perm[t] = perm.get(j, j)
-            out[j] = vt
-        out.sort()
-        return out
-    # Floyd's subset sampling: exactly K draws, no rejection.
-    chosen = set()
-    for step, j in enumerate(range(P - K, P)):
-        t = int(u[step] * (j + 1))
-        if t in chosen:
-            chosen.add(j)
-        else:
-            chosen.add(t)
-    out = np.fromiter(chosen, dtype=np.int64, count=K)
-    out.sort()
+        for row, ur in zip(out, u):
+            perm = {}
+            for j in range(K):
+                t = j + int(ur[j] * (P - j))
+                row[j] = perm.get(t, t)
+                perm[t] = perm.get(j, j)
+    else:
+        for step, j in enumerate(range(P - K, P)):
+            t = (u[:, step] * (j + 1)).astype(np.int64)
+            taken = (out[:, :step] == t[:, None]).any(axis=1)
+            out[:, step] = np.where(taken, j, t)
+    out.sort(axis=1)
     return out
 
 
 def _key_sharing_pairs(n: int, ring_data: np.ndarray, ring_node: np.ndarray) -> np.ndarray:
     """All node pairs (u < v) whose rings intersect, via a key -> holders index.
 
-    Sorts the flat (key, node) incidence list by key and emits, for every
-    shift d, the pairs of holders d apart within a key run.  Duplicates from
-    pairs sharing several keys are removed.  Returns an (m, 2) int64 array in
-    lexicographic order.
+    Sorts the flat (key, node) incidence list by key, then node, and emits,
+    for every shift d, the pairs of holders d apart within a key run.
+    Duplicates from pairs sharing several keys are removed.  Returns an
+    (m, 2) int64 array in lexicographic order.
     """
     if ring_data.size == 0:
         return np.empty((0, 2), dtype=np.int64)
-    order = np.argsort(ring_data, kind="stable")  # stable: nodes ascending per key
-    keys = ring_data[order]
-    nodes = ring_node[order]
+    incidence = np.sort(ring_data * n + ring_node)
+    keys, nodes = np.divmod(incidence, n)
     run_start = np.empty(keys.size, dtype=bool)
     run_start[0] = True
     np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
@@ -144,11 +146,12 @@ def _key_sharing_pairs(n: int, ring_data: np.ndarray, ring_node: np.ndarray) -> 
         same = run_id[d:] == run_id[:-d]
         if not same.any():
             break
-        codes.append(nodes[:-d][same].astype(np.int64) * n + nodes[d:][same])
+        codes.append(nodes[:-d][same] * n + nodes[d:][same])
         d += 1
     if not codes:
         return np.empty((0, 2), dtype=np.int64)
-    uniq = np.unique(np.concatenate(codes))
+    codes = np.sort(np.concatenate(codes))
+    uniq = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
     return np.stack([uniq // n, uniq % n], axis=1)
 
 
@@ -172,45 +175,45 @@ def sample_network(params: ModelParams, seed: SeedSpec, *,
     np.cumsum(sizes, out=indptr[1:])
     u_rings = rng.random(int(indptr[-1]))
     ring_data = np.empty(int(indptr[-1]), dtype=np.int64)
-    for x in range(n):
-        lo, hi = indptr[x], indptr[x + 1]
-        ring_data[lo:hi] = _draw_ring(u_rings[lo:hi], P)
+    for K in sorted(set(params.K)):
+        pos = indptr[:-1][sizes == K, None] + np.arange(K)
+        ring_data[pos] = _draw_rings(u_rings[pos], P)
     ring_node = np.repeat(np.arange(n, dtype=np.int64), sizes)
 
     shared = _key_sharing_pairs(n, ring_data, ring_node)
-    # Row boundaries of the candidate pairs, for per-row channel lookup.
-    row_bounds = np.searchsorted(shared[:, 0], np.arange(n + 1))
-
-    edge_rows = []
-    channel_rows = [] if retain_factors else None
-    for x in range(n - 1):
-        u = rng.random(n - 1 - x)
-        lo, hi = row_bounds[x], row_bounds[x + 1]
-        if hi > lo:
-            ys = shared[lo:hi, 1]
-            on = ys[u[ys - x - 1] < alpha]
-            if on.size:
-                edge_rows.append(np.stack([np.full(on.size, x, dtype=np.int64), on], axis=1))
+    # Row x of the channel stream starts at start[x] = x(2n-x-1)/2, so pair
+    # (x, y) reads uniform start[x] + y-x-1; ``flat`` ascends with ``shared``.
+    start = np.arange(n + 1, dtype=np.int64)
+    start = start * (2 * n - start - 1) // 2
+    flat = start[shared[:, 0]] + shared[:, 1] - shared[:, 0] - 1
+    on = np.empty(flat.size, dtype=bool)
+    channel = []
+    x0 = 0
+    while x0 < n - 1:
+        # Rows [x0, x1): at most _CHANNEL_CHUNK uniforms, or a single long row.
+        x1 = int(np.searchsorted(start, start[x0] + _CHANNEL_CHUNK, "right")) - 1
+        x1 = max(x0 + 1, x1)
+        lo = start[x0]
+        u = rng.random(int(start[x1] - lo))
+        a, b = np.searchsorted(flat, (lo, start[x1]))
+        on[a:b] = u[flat[a:b] - lo] < alpha
         if retain_factors:
-            ys_on = x + 1 + np.flatnonzero(u < alpha)
-            if ys_on.size:
-                channel_rows.append(
-                    np.stack([np.full(ys_on.size, x, dtype=np.int64), ys_on], axis=1))
+            channel.append(lo + np.flatnonzero(u < alpha))
+        x0 = x1
 
-    edges = (np.concatenate(edge_rows) if edge_rows
-             else np.empty((0, 2), dtype=np.int64)).astype(np.int32)
     net = SampledNetwork(
         params=params,
         classes=(cls0 + 1).astype(np.int16),
         ring_data=ring_data,
         ring_indptr=indptr,
-        edges=edges,
+        edges=shared[on].astype(np.int32),
         seed=seed,
     )
     if retain_factors:
+        idx = np.concatenate(channel) if channel else np.empty(0, dtype=np.int64)
+        xs = np.searchsorted(start, idx, "right") - 1
         net.edges_key = shared.astype(np.int32)
-        net.edges_channel = (np.concatenate(channel_rows) if channel_rows
-                             else np.empty((0, 2), dtype=np.int64)).astype(np.int32)
+        net.edges_channel = np.stack([xs, idx - start[xs] + xs + 1], axis=1).astype(np.int32)
     return net
 
 

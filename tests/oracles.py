@@ -3,8 +3,9 @@
 Nothing here shares code with the package: key-share probabilities come from
 literal enumeration of ring pairs, connectivity from exhaustive subset
 removal, ring intersection from a quadratic scan, the degree law from
-binomial sums or from summing over every outcome of a tiny model.
-Deliberately slow and simple.
+binomial sums or from summing over every outcome of a tiny model, key rings
+and channel indicators from one scalar draw at a time.  Deliberately slow
+and simple.
 """
 
 from fractions import Fraction
@@ -101,6 +102,34 @@ def enumerate_low_degree_expectation(n: int, P: int, mu, K, alpha,
                                         for w, mask in channel_states)
         total += weight * channel_sum[key_mask]
     return total
+
+
+def floyd_ring(u, P: int) -> list:
+    """Floyd's subset sampling (Bentley-Floyd 1987), one node at a time.
+
+    Draws a ring of len(u) distinct keys from range(P), consuming u in
+    order: step s picks t = floor(u[s] * (j + 1)) for j = P - K + s and keeps
+    j instead when t is already chosen.  Returns the ring sorted.
+    """
+    K = len(u)
+    chosen = set()
+    for step, j in enumerate(range(P - K, P)):
+        t = int(u[step] * (j + 1))
+        chosen.add(j if t in chosen else t)
+    return sorted(chosen)
+
+
+def per_row_channel_pairs(rng, n: int, alpha: float) -> list:
+    """Channel-on pairs from one draw call per row, in row-major order.
+
+    Row x takes n - 1 - x uniforms from ``rng`` (a numpy Generator), one per
+    pair (x, x+1)..(x, n-1); a pair is on when its uniform is below alpha.
+    """
+    on = []
+    for x in range(n - 1):
+        u = rng.random(n - 1 - x).tolist()
+        on.extend((x, x + 1 + i) for i in range(n - 1 - x) if u[i] < alpha)
+    return on
 
 
 def naive_intersects(a, b) -> bool:

@@ -4,10 +4,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import depth_first_order
 
+import keygraph.analysis
 from keygraph import (Graph, ModelParams, SeedSpec, connectivity_report,
                       delete_and_check, is_connected, is_k_connected,
                       min_degree, sample_network, vertex_connectivity)
+from keygraph.analysis import (_cut_from_flow, _flow_pairs, _is_biconnected,
+                               _local_connectivity, _split_flow_matrix)
 from oracles import (brute_min_cuts, brute_vertex_connectivity,
                      connected_after_removal)
 
@@ -26,6 +33,32 @@ PATH3 = [(0, 1), (1, 2)]
 CYCLE5 = [(i, (i + 1) % 5) for i in range(5)]
 K4 = list(itertools.combinations(range(4), 2))
 K5 = list(itertools.combinations(range(5), 2))
+
+
+@st.composite
+def small_graphs(draw, min_n=3, max_n=12):
+    n = draw(st.integers(min_n, max_n))
+    keep = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                         max_size=n * (n - 1) // 2))
+    iu, ju = np.triu_indices(n, 1)
+    keep = np.array(keep, dtype=bool)
+    return Graph(n, np.stack([iu[keep], ju[keep]], axis=1))
+
+
+def biconnected_oracle(n, edges):
+    return connected_after_removal(n, edges) and all(
+        connected_after_removal(n, edges, [v]) for v in range(n))
+
+
+def full_pair_loop(g):
+    """(kappa, cut) from every Even-Tarjan pair, with no early exit."""
+    mat = _split_flow_matrix(g)
+    best = None
+    for src, dst in _flow_pairs(g):
+        value = int(_local_connectivity(mat, src, dst).flow_value)
+        if best is None or value < best:
+            best, pair = value, (src, dst)
+    return best, _cut_from_flow(g, mat, *pair)
 
 
 class TestGraph:
@@ -104,6 +137,84 @@ class TestVertexConnectivity:
     def test_star_cut_is_center(self):
         kappa, cut = vertex_connectivity(graph(5, [(0, i) for i in range(1, 5)]))
         assert kappa == 1 and list(cut) == [0]
+
+
+    def test_early_exit_keeps_the_full_loop_result(self):
+        rng = np.random.default_rng(4242)
+        checked = 0
+        while checked < 200:
+            n = int(rng.integers(3, 10))
+            g = random_graph(rng, n, float(rng.choice([0.3, 0.5, 0.7])))
+            if not is_connected(g) or g.is_complete():
+                continue
+            checked += 1
+            kappa, cut = vertex_connectivity(g)
+            ref_kappa, ref_cut = full_pair_loop(g)
+            assert kappa == ref_kappa and cut.tolist() == ref_cut.tolist()
+
+    def test_low_min_degree_needs_one_pair(self, monkeypatch):
+        # a pendant node (delta 1) and a cycle (delta 2, biconnected) each
+        # stop after the first pair: one flow for kappa, one for the cut
+        calls = []
+        flow = keygraph.analysis.maximum_flow
+        monkeypatch.setattr(keygraph.analysis, "maximum_flow",
+                            lambda *a: calls.append(a) or flow(*a))
+        ring = [(i, (i + 1) % 12) for i in range(12)]
+        for n, edges, kappa in ((13, ring + [(0, 12)], 1), (12, ring, 2)):
+            calls.clear()
+            assert vertex_connectivity(graph(n, edges))[0] == kappa
+            assert len(calls) == 2
+
+
+class TestBiconnectivity:
+    """The articulation test on scipy's depth-first order."""
+
+    @pytest.mark.parametrize("n,edges,expect", [
+        (4, [(0, 1), (1, 2), (2, 3)], False),  # path
+        (5, CYCLE5, True),
+        (5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)], False),  # bowtie
+        (5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)], False),  # root cut
+        (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], False),  # split
+        (4, K4, True),
+        (2, [(0, 1)], True),
+        (2, [], False),
+    ])
+    def test_hand_cases(self, n, edges, expect):
+        g = graph(n, edges)
+        assert _is_biconnected(g) is expect
+        assert biconnected_oracle(n, g.edges) is expect
+
+    def test_two_nodes_are_never_2_connected(self):
+        # kappa of the single edge is n - 1 = 1 by convention
+        assert not is_k_connected(graph(2, [(0, 1)]), 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs())
+    def test_agrees_with_single_removal_oracle(self, g):
+        expect = biconnected_oracle(g.n, g.edges)
+        assert _is_biconnected(g) == expect
+        assert is_k_connected(g, 2) == expect
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(min_n=2))
+    def test_scipy_dfs_tree_has_no_cross_edges(self, g):
+        # every non-tree edge must join a node to one of its tree ancestors
+        adj = csr_matrix((np.ones(g.indices.size, dtype=np.int8), g.indices,
+                          g.indptr), shape=(g.n, g.n))
+        order, parent = depth_first_order(adj, 0, directed=True)
+        reached = set(order.tolist())
+
+        def ancestors(v):
+            out = set()
+            while v != order[0]:
+                v = int(parent[v])
+                out.add(v)
+            return out
+
+        for u, v in g.edges.tolist():
+            if u in reached:
+                assert v in reached
+                assert u in ancestors(v) or v in ancestors(u)
 
 
 class TestIsKConnected:

@@ -120,6 +120,24 @@ class TestRunExperiment:
         assert row.trials - row.mismatch_count >= 195
         assert row.prob_kconn >= 0.9  # deep on the connected side
 
+    @pytest.mark.parametrize("kind,values,solves", [("K1", (3, 4, 5), 2),
+                                                    ("alpha", (0.3, 0.5, 0.5), 4)])
+    def test_threshold_solved_once_per_distinct_input(self, monkeypatch, kind,
+                                                      values, solves):
+        # one solve per k (k_list has two) and distinct solver input: a K1
+        # sweep varies none across rows, an alpha sweep varies alpha
+        import keygraph.experiments as ex
+        calls = []
+        solve = ex.solve_threshold
+        monkeypatch.setattr(ex, "solve_threshold",
+                            lambda *a: calls.append(a) or solve(*a))
+        spec = mini_spec(sweep_kind=kind, sweep_values=values, trials=2)
+        rows = run_experiment(spec).rows
+        assert len(calls) == solves
+        for row in rows:
+            sol = solve(row.n, row.P, spec.base.mu, row.alpha, row.k, spec.rule)
+            assert row.threshold_K1 == sol.K1_min
+
     def test_trial_stats_match_direct_evaluation(self):
         # recompute one row by hand from the same seeds
         from keygraph.rng import derive_master

@@ -29,6 +29,16 @@ class TestParamsValidation:
         assert p.mu == (0.25, 0.75)
         assert p.mu_was_normalized
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_mu(self, bad, normalize):
+        with pytest.raises(ValueError):
+            ModelParams(n=10, mu=(0.5, bad), K=(2, 3), P=10, alpha=0.5,
+                        normalize_mu=normalize)
+        with pytest.raises(ValueError):
+            ModelParams(n=10, mu=(bad,), K=(2,), P=10, alpha=0.5,
+                        normalize_mu=normalize)
+
     def test_rejects_decreasing_rings(self):
         with pytest.raises(ValueError):
             ModelParams(n=10, mu=(0.5, 0.5), K=(3, 2), P=10, alpha=0.5)

@@ -5,11 +5,13 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import keygraph.sampler
 from keygraph import (ModelParams, SeedSpec, edge_prob_key, intersect_rings,
                       read_network, sample_network, write_network)
-from keygraph.sampler import _draw_ring
-from oracles import naive_intersects
+from keygraph.sampler import _draw_rings
+from oracles import floyd_ring, naive_intersects, per_row_channel_pairs
 
 DATA = Path(__file__).parent / "data"
 
@@ -123,8 +125,7 @@ class TestDistributions:
         rng = SeedSpec(777).stream()
         u = rng.random(2 * draws)
         counts = {}
-        for t in range(draws):
-            ring = _draw_ring(u[2 * t:2 * t + 2], 5)
+        for ring in _draw_rings(u.reshape(draws, 2), 5).tolist():
             counts[tuple(ring)] = counts.get(tuple(ring), 0) + 1
         assert len(counts) == 10
         sigma = math.sqrt(0.1 * 0.9 / draws)
@@ -137,11 +138,9 @@ class TestDistributions:
         assert K <= P // 64
         rng = SeedSpec(778).stream()
         u = rng.random(K * draws)
-        hits = np.zeros(P, dtype=np.int64)
-        for t in range(draws):
-            ring = _draw_ring(u[K * t:K * t + K], P)
-            assert ring.size == K and ring[0] != ring[1]
-            hits[ring] += 1
+        rings = _draw_rings(u.reshape(draws, K), P)
+        assert (rings[:, 0] != rings[:, 1]).all()
+        hits = np.bincount(rings.ravel(), minlength=P)
         q = K / P
         sigma = math.sqrt(q * (1 - q) / draws)
         assert (np.abs(hits / draws - q) < 4 * sigma).all()
@@ -182,6 +181,40 @@ class TestDistributions:
             npairs = pair_counts[i, j]
             sigma = math.sqrt(target * (1 - target) / npairs)
             assert abs(edge_counts[i, j] / npairs - target) < 4 * sigma
+
+
+class TestBatchedDraws:
+    """The vectorized draws against one-node, one-row scalar references."""
+
+    @pytest.mark.parametrize("K,P", [(1, 64), (1, 10**4), (3, 192), (7, 500),
+                                     (40, 10**4), (156, 10**4)])
+    def test_batched_floyd_matches_scalar_reference(self, K, P):
+        assert K <= P // 64  # the Floyd branch
+        u = SeedSpec(99, K).stream().random((300, K))
+        assert _draw_rings(u, P).tolist() == [floyd_ring(row, P) for row in u]
+
+    @pytest.mark.parametrize("n,K,P,alpha,chunk", [
+        (120, (3, 5, 8), 600, 0.3, None),
+        (40, (3, 5, 8), 600, 0.6, 7),  # rows longer and shorter than a chunk
+        (1500, (2, 3, 3), 10**4, 0.02, None),  # two chunks at the default size
+    ])
+    def test_sample_matches_per_node_and_per_row_reference(self, monkeypatch, n, K,
+                                                           P, alpha, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(keygraph.sampler, "_CHANNEL_CHUNK", chunk)
+        p = ModelParams(n=n, mu=(0.2, 0.3, 0.5), K=K, P=P, alpha=alpha)
+        seed = SeedSpec(4321, 2)
+        net = sample_network(p, seed, retain_factors=True)
+        rng = seed.stream()
+        rng.random(n)  # class labels
+        u = rng.random(int(net.ring_indptr[-1]))
+        for x in range(n):
+            lo, hi = net.ring_indptr[x], net.ring_indptr[x + 1]
+            assert net.ring(x).tolist() == floyd_ring(u[lo:hi], P)
+        channel = per_row_channel_pairs(rng, n, alpha)
+        assert net.edges_channel.tolist() == [list(e) for e in channel]
+        key = set(map(tuple, net.edges_key.tolist()))
+        assert net.edges.tolist() == [list(e) for e in channel if e in key]
 
 
 class TestDumpFormat:
