@@ -17,7 +17,7 @@ distinct graphs is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -162,9 +162,9 @@ def _local_connectivity(mat: csr_matrix, src: int, dst: int):
     return maximum_flow(mat, 2 * src + 1, 2 * dst)
 
 
-def _cut_from_flow(g: Graph, mat: csr_matrix, src: int, dst: int) -> np.ndarray:
-    """Recover the source-side minimum vertex cut of one max flow."""
-    res = (mat - _local_connectivity(mat, src, dst).flow).tocsr()
+def _cut_from_flow(g: Graph, mat: csr_matrix, flow, src: int) -> np.ndarray:
+    """Recover the source-side minimum vertex cut of a max flow from ``src``."""
+    res = (mat - flow.flow).tocsr()
     res.eliminate_zeros()  # residual capacities are >= 0; keep the open arcs
     reach = np.zeros(2 * g.n, dtype=bool)
     reach[breadth_first_order(res, 2 * src + 1, return_predecessors=False)] = True
@@ -189,19 +189,18 @@ def vertex_connectivity(g) -> tuple:
         return g.n - 1, empty
     mat = _split_flow_matrix(g)
     best = None
-    best_pair = None
     for src, dst in _flow_pairs(g):
-        value = int(_local_connectivity(mat, src, dst).flow_value)
+        flow = _local_connectivity(mat, src, dst)
+        value = int(flow.flow_value)
         if best is None or value < best:
-            best = value
-            best_pair = (src, dst)
+            best, best_flow, best_src = value, flow, src
             # Stop at a proven lower bound: 1 (connected), or 2 once the
             # graph is known biconnected; no later pair can improve strictly.
             if best == 1 or (best == 2 and _is_biconnected(g)):
                 break
     # A connected non-complete graph always yields at least one pair, and the
     # strict-improvement update keeps the first pair attaining the minimum.
-    cut = _cut_from_flow(g, mat, *best_pair)
+    cut = _cut_from_flow(g, mat, best_flow, best_src)
     if cut.size != best:
         raise AssertionError("recovered cut size disagrees with connectivity")
     return best, cut
@@ -266,46 +265,6 @@ def is_k_connected(g, k: int) -> bool:
         if int(_local_connectivity(mat, src, dst).flow_value) < k:
             return False
     return True
-
-
-def delete_and_check(g, victims: Sequence[int]) -> list:
-    """Connectivity after each prefix of node deletions.
-
-    Entry d reports whether the graph stays connected once the first d+1
-    victims are removed.  Graphs left with fewer than two nodes count as
-    connected.  Victims must be distinct, in-range node ids.
-    """
-    g = as_graph(g)
-    victims = [int(v) for v in victims]
-    if len(set(victims)) != len(victims):
-        raise ValueError("victims must be distinct")
-    if any(v < 0 or v >= g.n for v in victims):
-        raise ValueError("victim out of range")
-    removed = np.zeros(g.n, dtype=bool)
-    out = []
-    for v in victims:
-        removed[v] = True
-        out.append(_connected_masked(g, removed))
-    return out
-
-
-def _connected_masked(g: Graph, removed: np.ndarray) -> bool:
-    alive = np.flatnonzero(~removed)
-    if alive.size < 2:
-        return True
-    seen = removed.copy()
-    start = int(alive[0])
-    seen[start] = True
-    stack = [start]
-    reached = 1
-    while stack:
-        u = stack.pop()
-        for v in g.indices[g.indptr[u]:g.indptr[u + 1]]:
-            if not seen[v]:
-                seen[v] = True
-                reached += 1
-                stack.append(int(v))
-    return reached == alive.size
 
 
 def connectivity_report(g) -> ConnectivityReport:

@@ -2,16 +2,18 @@
 
 An experiment is declared as a base parameterization plus one sweep axis
 (smallest ring size under a profile rule, channel probability, target k, or
-deletion depth), a trial count, and a master seed.  Every (row, trial) gets
-a pre-assigned seed, so trials may run sequentially or in a process pool and
-the aggregated result is identical either way; merging is a plain sum of
-per-trial counters.  Failures in any trial abort the run -- there are no
+deletion depth), a trial count, and a master seed.  A run is a list of
+cells, each one set of seeded trials feeding one or more rows: one cell per
+sweep value, or a single cell for a depth sweep, whose depth d is the event
+kappa > d.  Every (cell, trial) task has a pre-assigned seed, so the tasks
+may run sequentially or in one process pool and the aggregated result is
+identical either way.  Failures in any trial abort the run -- there are no
 silent partial results.
 
-Per-trial work is kept proportional to what the sweep needs: rows whose
+Per-trial work is kept proportional to what the rows record: rows whose
 targets stop at k <= 2 use the cheap connectivity checks, anything deeper
 computes exact vertex connectivity once and derives every per-k predicate
-from it.
+from it, and no predicate is computed when connectivity is not recorded.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from ._version import __version__
 from .analysis import is_k_connected, min_degree, vertex_connectivity
 from .model import ModelParams
 from .rng import SeedSpec, derive_master
@@ -64,7 +66,8 @@ class ExperimentSpec:
     ``sweep_kind`` is one of "K1" (smallest ring size, needs ``rule``),
     "alpha", "k", or "depth" (deletion depths over a fixed design).  For a
     "k" sweep the swept value replaces ``k_list``; for a "depth" sweep
-    ``k_list`` holds the single design k the depths refer to.
+    ``k_list`` holds the single design k the depths refer to, and
+    ``record.vertex_cut_curve`` must be set.
     """
 
     name: str
@@ -100,11 +103,13 @@ class ExperimentSpec:
         if self.sweep_kind == "depth":
             if any(int(v) != v or v < 0 or v > self.base.n - 2 for v in self.sweep_values):
                 raise ValueError("depths must be integers in [0, n-2]")
+            if not self.record.vertex_cut_curve:
+                raise ValueError("a depth sweep needs record.vertex_cut_curve")
 
 
 @dataclass(frozen=True)
 class ExperimentRow:
-    """Aggregated outcome for one (sweep value, k) cell.
+    """Aggregated outcome for one (sweep value, k) pair.
 
     ``mismatch_count`` counts trials where the degree event and the
     connectivity event disagreed; it is reported here (and in the CLI
@@ -133,29 +138,9 @@ class ExperimentRow:
 
 
 @dataclass(frozen=True)
-class RunStamp:
-    master_seed: int
-    trials: int
-    version: str
-
-
-@dataclass(frozen=True)
 class ExperimentResult:
     rows: tuple
-    stamp: RunStamp
     spec: Optional[ExperimentSpec] = None
-
-
-def _row_params(spec: ExperimentSpec, value):
-    """Effective parameters and k targets for one sweep value."""
-    if spec.sweep_kind == "K1":
-        params = spec.base.replace(K=spec.rule.ring_sizes(int(value)))
-        return params, tuple(spec.k_list)
-    if spec.sweep_kind == "alpha":
-        return spec.base.replace(alpha=float(value)), tuple(spec.k_list)
-    if spec.sweep_kind == "k":
-        return spec.base, (int(value),)
-    return spec.base, tuple(spec.k_list)  # depth
 
 
 def _profile_label(spec: ExperimentSpec, params: ModelParams) -> str:
@@ -164,152 +149,113 @@ def _profile_label(spec: ExperimentSpec, params: ModelParams) -> str:
     return "K:" + ",".join(str(k) for k in params.K)
 
 
-def _evaluate_trial(params: ModelParams, row_master: int, trial: int,
-                    k_list: tuple, need_kappa: bool) -> tuple:
-    net = sample_network(params, SeedSpec(row_master, trial))
-    g = net.graph()
+def _cells(spec: ExperimentSpec) -> list:
+    """The run's cells as (params, cell master seed, targets, row keys).
+
+    A cell is one set of trials.  Row j of a cell is keyed (sweep value,
+    k column) and counts the trials whose events reach ``targets[j]``.  A
+    depth sweep is one cell: depth d survives iff kappa >= d + 1, reported
+    under the design k.
+    """
+    if spec.sweep_kind == "depth":
+        k = int(spec.k_list[0])
+        depths = [int(d) for d in spec.sweep_values]
+        return [(spec.base, derive_master(spec.master_seed, 0),
+                 tuple(d + 1 for d in depths), [(d, k) for d in depths])]
+    cells = []
+    for i, value in enumerate(spec.sweep_values):
+        params, k_list = spec.base, spec.k_list
+        if spec.sweep_kind == "K1":
+            params = spec.base.replace(K=spec.rule.ring_sizes(int(value)))
+        elif spec.sweep_kind == "alpha":
+            params = spec.base.replace(alpha=float(value))
+        else:
+            k_list = (value,)
+        targets = tuple(int(k) for k in k_list)
+        cells.append((params, derive_master(spec.master_seed, i), targets,
+                      [(value, k) for k in targets]))
+    return cells
+
+
+def _evaluate_trial(job: tuple, trial: int) -> tuple:
+    """(delta, kappa or None, predicates kappa >= target or None) of a trial."""
+    params, master, targets, need_kappa, need_preds = job
+    g = sample_network(params, SeedSpec(master, trial)).graph()
     delta = min_degree(g)
-    if need_kappa:
-        kappa = vertex_connectivity(g)[0]
-        preds = tuple(kappa >= k for k in k_list)
-        return delta, kappa, preds
-    preds = tuple(is_k_connected(g, k) for k in k_list)
-    return delta, None, preds
+    kappa = vertex_connectivity(g)[0] if need_kappa else None
+    if not need_preds:
+        return delta, kappa, None
+    if kappa is not None:
+        return delta, kappa, tuple(kappa >= t for t in targets)
+    return delta, None, tuple(is_k_connected(g, t) for t in targets)
 
 
-def _trial_batch(args) -> list:
-    params, row_master, trials, k_list, need_kappa = args
-    return [_evaluate_trial(params, row_master, t, k_list, need_kappa) for t in trials]
-
-
-def _run_trials(params: ModelParams, row_master: int, trials: int,
-                k_list: tuple, need_kappa: bool, workers: int) -> list:
-    """Per-trial stats in trial order, sequential or process-parallel."""
-    indices = list(range(trials))
+def _run_tasks(tasks: list, workers: int) -> list:
+    """Per-trial stats in task order: a direct loop, or one process pool."""
     if workers <= 1:
-        return _trial_batch((params, row_master, indices, k_list, need_kappa))
-    chunk = max(1, math.ceil(trials / (workers * 4)))
-    batches = [indices[i:i + chunk] for i in range(0, trials, chunk)]
-    args = [(params, row_master, b, k_list, need_kappa) for b in batches]
-    out = []
+        return [_evaluate_trial(job, trial) for job, trial in tasks]
+    chunk = math.ceil(len(tasks) / (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_trial_batch, args):
-            out.extend(part)
-    return out
-
-
-def _aggregate_rows(spec: ExperimentSpec, value, params: ModelParams,
-                    k_list: tuple, stats: list, thresholds: dict) -> list:
-    """Rows for one sweep value; ``thresholds`` holds the run's solved
-    threshold_K1 per (alpha, k), the only solver inputs a sweep can vary."""
-    trials = len(stats)
-    deltas = [s[0] for s in stats]
-    kappas = [s[1] for s in stats]
-    have_kappa = all(k is not None for k in kappas)
-    mean_delta = sum(deltas) / trials
-    mean_kappa = sum(kappas) / trials if have_kappa else None
-    label = _profile_label(spec, params)
-    rows = []
-    for ki, k in enumerate(k_list):
-        c_deg = sum(1 for d in deltas if d >= k)
-        c_conn = sum(1 for s in stats if s[2][ki])
-        mismatch = sum(1 for s in stats if (s[0] >= k) != s[2][ki])
-        rec = spec.record
-        threshold_K1 = None
-        if spec.rule is not None:
-            key = (params.alpha, int(k))
-            if key not in thresholds:
-                thresholds[key] = solve_threshold(params.n, params.P, params.mu,
-                                                  params.alpha, int(k), spec.rule).K1_min
-            threshold_K1 = thresholds[key]
-        main_count = c_conn if rec.k_connectivity else c_deg
-        rows.append(ExperimentRow(
-            experiment=spec.name,
-            n=params.n, P=params.P, alpha=params.alpha, k=int(k),
-            K=params.K, K_profile=label, sweep_value=value, trials=trials,
-            count_mindeg=c_deg if rec.min_degree else None,
-            count_kconn=c_conn if rec.k_connectivity else None,
-            prob_mindeg=c_deg / trials if rec.min_degree else None,
-            prob_kconn=c_conn / trials if rec.k_connectivity else None,
-            ci_half=wilson_halfwidth(main_count, trials),
-            mean_delta=mean_delta,
-            mean_kappa=mean_kappa,
-            mismatch_count=mismatch if (rec.min_degree and rec.k_connectivity) else None,
-            threshold_K1=threshold_K1,
-            master_seed=spec.master_seed,
-        ))
-    return rows
+        return list(pool.map(_evaluate_trial, *zip(*tasks), chunksize=chunk))
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """Execute a sweep; identical output for any worker count.
 
-    Depth sweeps are routed to :func:`deletion_experiment`.  Any trial
-    failure propagates as an exception; no partial result is returned.
+    Every (cell, trial) task of the run goes through one evaluator, and one
+    process pool when ``workers`` (clamped to the core count) exceeds 1.
+    Any trial failure propagates as an exception; no partial result is
+    returned.
     """
-    if spec.sweep_kind == "depth":
-        return deletion_experiment(spec, workers=workers)
+    workers = min(workers, os.cpu_count() or 1)
+    rec = spec.record
+    cells = _cells(spec)
+    tasks = []
+    for params, master, targets, _ in cells:
+        need_kappa = rec.vertex_cut_curve or (rec.k_connectivity and max(targets) >= 3)
+        job = (params, master, targets, need_kappa, rec.k_connectivity)
+        tasks.extend((job, t) for t in range(spec.trials))
+    stats = _run_tasks(tasks, workers)
+    trials = spec.trials
+    thresholds = {}  # threshold_K1 per (alpha, k), the solver inputs a sweep varies
     rows = []
-    thresholds = {}
-    for row_idx, value in enumerate(spec.sweep_values):
-        params, k_list = _row_params(spec, value)
-        need_kappa = spec.record.vertex_cut_curve or (
-            spec.record.k_connectivity and max(k_list) >= 3)
-        row_master = derive_master(spec.master_seed, row_idx)
-        stats = _run_trials(params, row_master, spec.trials, k_list,
-                            need_kappa, workers)
-        rows.extend(_aggregate_rows(spec, value, params, k_list, stats, thresholds))
-    stamp = RunStamp(spec.master_seed, spec.trials, __version__)
-    return ExperimentResult(rows=tuple(rows), stamp=stamp, spec=spec)
-
-
-def deletion_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
-    """Survival probability versus worst-case deletion depth.
-
-    One set of trials is drawn for the fixed design; each trial's exact
-    vertex connectivity decides survival at every depth d (connected after
-    removing d minimum-cut nodes iff connectivity exceeds d; a sample that
-    starts disconnected has connectivity 0 and survives nothing).  The "k"
-    column carries the design k the depths refer to.
-    """
-    if spec.sweep_kind != "depth":
-        raise ValueError("deletion_experiment needs a depth sweep")
-    if not spec.record.vertex_cut_curve:
-        raise ValueError("deletion_experiment needs record.vertex_cut_curve")
-    params = spec.base
-    design_k = int(spec.k_list[0])
-    row_master = derive_master(spec.master_seed, 0)
-    stats = _run_trials(params, row_master, spec.trials, (design_k,), True, workers)
-    trials = len(stats)
-    deltas = [s[0] for s in stats]
-    kappas = [s[1] for s in stats]
-    mean_delta = sum(deltas) / trials
-    mean_kappa = sum(kappas) / trials
-    label = _profile_label(spec, params)
-    threshold_K1 = None
-    if spec.rule is not None:
-        sol = solve_threshold(params.n, params.P, params.mu, params.alpha,
-                              design_k, spec.rule)
-        threshold_K1 = sol.K1_min
-    rows = []
-    for depth in spec.sweep_values:
-        d = int(depth)
-        c_conn = sum(1 for kap in kappas if kap > d)
-        c_deg = sum(1 for de in deltas if de > d)
-        rows.append(ExperimentRow(
-            experiment=spec.name,
-            n=params.n, P=params.P, alpha=params.alpha, k=design_k,
-            K=params.K, K_profile=label, sweep_value=d, trials=trials,
-            count_mindeg=c_deg, count_kconn=c_conn,
-            prob_mindeg=c_deg / trials, prob_kconn=c_conn / trials,
-            ci_half=wilson_halfwidth(c_conn, trials),
-            mean_delta=mean_delta, mean_kappa=mean_kappa,
-            mismatch_count=sum(1 for s in stats if (s[0] > d) != (s[1] > d)),
-            threshold_K1=threshold_K1,
-            master_seed=spec.master_seed,
-        ))
-    stamp = RunStamp(spec.master_seed, spec.trials, __version__)
-    return ExperimentResult(rows=tuple(rows), stamp=stamp, spec=spec)
+    for i, (params, _, targets, keys) in enumerate(cells):
+        cell = stats[i * trials:(i + 1) * trials]
+        deltas = [s[0] for s in cell]
+        kappas = [s[1] for s in cell]
+        mean_delta = sum(deltas) / trials
+        mean_kappa = None if kappas[0] is None else sum(kappas) / trials
+        label = _profile_label(spec, params)
+        for j, ((value, k), t) in enumerate(zip(keys, targets)):
+            c_deg = sum(1 for d in deltas if d >= t)
+            c_conn = mismatch = None
+            if rec.k_connectivity:
+                c_conn = sum(1 for s in cell if s[2][j])
+                mismatch = sum(1 for s in cell if (s[0] >= t) != s[2][j])
+            threshold_K1 = None
+            if spec.rule is not None:
+                key = (params.alpha, k)
+                if key not in thresholds:
+                    thresholds[key] = solve_threshold(params.n, params.P, params.mu,
+                                                      params.alpha, k, spec.rule).K1_min
+                threshold_K1 = thresholds[key]
+            main_count = c_conn if rec.k_connectivity else c_deg
+            rows.append(ExperimentRow(
+                experiment=spec.name,
+                n=params.n, P=params.P, alpha=params.alpha, k=k,
+                K=params.K, K_profile=label, sweep_value=value, trials=trials,
+                count_mindeg=c_deg if rec.min_degree else None,
+                count_kconn=c_conn,
+                prob_mindeg=c_deg / trials if rec.min_degree else None,
+                prob_kconn=None if c_conn is None else c_conn / trials,
+                ci_half=wilson_halfwidth(main_count, trials),
+                mean_delta=mean_delta,
+                mean_kappa=mean_kappa,
+                mismatch_count=mismatch if rec.min_degree else None,
+                threshold_K1=threshold_K1,
+                master_seed=spec.master_seed,
+            ))
+    return ExperimentResult(rows=tuple(rows), spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -398,42 +344,60 @@ def write_dat(result_or_results, path, k: Optional[int] = None) -> None:
 # JSON experiment specs
 
 
-def _require_keys(d: dict, allowed: set, context: str) -> None:
+def _check_keys(d, context: str, allowed: set, required: tuple = ()) -> dict:
+    """``d`` itself, once it is an object with no unknown and no missing key."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{context} must be an object, got {d!r}")
     unknown = set(d) - allowed
     if unknown:
         raise ValueError(f"unknown key(s) in {context}: {sorted(unknown)}")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ValueError(f"missing key(s) in {context}: {missing}")
+    return d
+
+
+def _as_list(value, name: str):
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
 
 
 def spec_from_dict(d: dict) -> ExperimentSpec:
-    """Build an ExperimentSpec from parsed JSON; unknown keys are rejected."""
-    _require_keys(d, {"name", "base", "sweep", "trials", "k_list",
-                      "master_seed", "record"}, "experiment spec")
-    base_d = dict(d["base"])
-    _require_keys(base_d, {"n", "mu", "K", "P", "alpha", "normalize_mu"}, "base")
+    """Build an ExperimentSpec from parsed JSON.
+
+    An unknown or missing key, or a scalar where a list belongs, raises
+    ValueError naming the key.
+    """
+    _check_keys(d, "experiment spec", {"name", "base", "sweep", "trials", "k_list",
+                                       "master_seed", "record"},
+                ("name", "base", "sweep"))
+    base_d = _check_keys(d["base"], "base", {"n", "mu", "K", "P", "alpha", "normalize_mu"},
+                         ("n", "mu", "K", "P", "alpha"))
+    _as_list(base_d["mu"], "base.mu")
+    _as_list(base_d["K"], "base.K")
     base = ModelParams(**base_d)
-    sweep = dict(d["sweep"])
-    _require_keys(sweep, {"kind", "values", "rule"}, "sweep")
+    sweep = _check_keys(d["sweep"], "sweep", {"kind", "values", "rule"}, ("kind", "values"))
     rule = None
     if sweep.get("rule") is not None:
-        rule_d = dict(sweep["rule"])
-        _require_keys(rule_d, {"kind", "values"}, "rule")
+        rule_d = _check_keys(sweep["rule"], "rule", {"kind", "values"}, ("kind", "values"))
+        values = _as_list(rule_d["values"], "rule.values")
         if rule_d["kind"] == "offsets":
-            rule = KeyProfileRule.offsets(*rule_d["values"])
+            rule = KeyProfileRule.offsets(*values)
         elif rule_d["kind"] == "fixed_tail":
-            rule = KeyProfileRule.fixed_tail(*rule_d["values"])
+            rule = KeyProfileRule.fixed_tail(*values)
         else:
             raise ValueError(f"unknown rule kind {rule_d['kind']!r}")
-    record_d = dict(d.get("record", {}))
-    _require_keys(record_d, {"min_degree", "k_connectivity", "vertex_cut_curve"},
-                  "record")
+    record_d = _check_keys(d.get("record", {}), "record",
+                           {"min_degree", "k_connectivity", "vertex_cut_curve"})
     return ExperimentSpec(
         name=str(d["name"]),
         base=base,
         sweep_kind=str(sweep["kind"]),
-        sweep_values=tuple(sweep["values"]),
+        sweep_values=tuple(_as_list(sweep["values"], "sweep.values")),
         rule=rule,
         trials=int(d.get("trials", 200)),
-        k_list=tuple(int(k) for k in d.get("k_list", [2])),
+        k_list=tuple(int(k) for k in _as_list(d.get("k_list", [2]), "k_list")),
         master_seed=int(d.get("master_seed", 0)),
         record=RecordFlags(**{k: bool(v) for k, v in record_d.items()}),
     )

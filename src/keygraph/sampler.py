@@ -32,28 +32,13 @@ import numpy as np
 from .model import ModelParams
 from .rng import SeedSpec
 
-__all__ = ["SeedSpec", "SampledNetwork", "sample_network", "intersect_rings",
-           "write_network", "read_network"]
+__all__ = ["SeedSpec", "SampledNetwork", "sample_network", "write_network",
+           "read_network"]
 
 # Floyd's sampling avoids O(P) state but degrades as K/P grows; cutoff per pool.
 _FLOYD_MAX_RING_FRACTION = 64
 # Channel uniforms drawn per rng.random call (whole rows), bounding memory.
 _CHANNEL_CHUNK = 1 << 20
-
-
-def intersect_rings(a, b) -> bool:
-    """True iff two sorted key rings share at least one key (linear merge scan)."""
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        ai, bj = a[i], b[j]
-        if ai == bj:
-            return True
-        if ai < bj:
-            i += 1
-        else:
-            j += 1
-    return False
 
 
 @dataclass
@@ -62,10 +47,10 @@ class SampledNetwork:
 
     ``classes`` holds 1-based class labels per node.  Key rings are stored
     flat (``ring_data`` sliced by ``ring_indptr``) and exposed per node via
-    :meth:`ring` or :attr:`keyrings`.  ``edges`` is the secure-link edge set,
-    one row per unordered pair (u < v), lexicographically sorted.  When the
-    sample was drawn with ``retain_factors=True``, the two factor edge sets
-    (key sharing alone / channel alone) are kept as well.
+    :meth:`ring`.  ``edges`` is the secure-link edge set, one row per
+    unordered pair (u < v), lexicographically sorted.  When the sample was
+    drawn with ``retain_factors=True``, the two factor edge sets (key
+    sharing alone / channel alone) are kept as well.
     """
 
     params: ModelParams
@@ -85,10 +70,6 @@ class SampledNetwork:
     def ring(self, x: int) -> np.ndarray:
         """Sorted key ring of node x (a view, do not mutate)."""
         return self.ring_data[self.ring_indptr[x]:self.ring_indptr[x + 1]]
-
-    @property
-    def keyrings(self) -> list:
-        return [self.ring(x) for x in range(self.n)]
 
     def graph(self):
         """Adjacency structure of the secure-link edges (built once, cached)."""

@@ -11,8 +11,8 @@ from scipy.sparse.csgraph import depth_first_order
 
 import keygraph.analysis
 from keygraph import (Graph, ModelParams, SeedSpec, connectivity_report,
-                      delete_and_check, is_connected, is_k_connected,
-                      min_degree, sample_network, vertex_connectivity)
+                      is_connected, is_k_connected, min_degree,
+                      sample_network, vertex_connectivity)
 from keygraph.analysis import (_cut_from_flow, _flow_pairs, _is_biconnected,
                                _local_connectivity, _split_flow_matrix)
 from oracles import (brute_min_cuts, brute_vertex_connectivity,
@@ -58,7 +58,7 @@ def full_pair_loop(g):
         value = int(_local_connectivity(mat, src, dst).flow_value)
         if best is None or value < best:
             best, pair = value, (src, dst)
-    return best, _cut_from_flow(g, mat, *pair)
+    return best, _cut_from_flow(g, mat, _local_connectivity(mat, *pair), pair[0])
 
 
 class TestGraph:
@@ -154,7 +154,7 @@ class TestVertexConnectivity:
 
     def test_low_min_degree_needs_one_pair(self, monkeypatch):
         # a pendant node (delta 1) and a cycle (delta 2, biconnected) each
-        # stop after the first pair: one flow for kappa, one for the cut
+        # stop after the first pair, whose flow also yields the cut
         calls = []
         flow = keygraph.analysis.maximum_flow
         monkeypatch.setattr(keygraph.analysis, "maximum_flow",
@@ -163,7 +163,7 @@ class TestVertexConnectivity:
         for n, edges, kappa in ((13, ring + [(0, 12)], 1), (12, ring, 2)):
             calls.clear()
             assert vertex_connectivity(graph(n, edges))[0] == kappa
-            assert len(calls) == 2
+            assert len(calls) == 1
 
 
 class TestBiconnectivity:
@@ -240,11 +240,18 @@ class TestIsKConnected:
 
 
 class TestDeleteAndCheck:
+    """Deleting minimum-cut nodes one by one, checked by the DFS oracle."""
+
+    @staticmethod
+    def prefix_flags(g, victims):
+        return [connected_after_removal(g.n, g.edges, victims[:d + 1])
+                for d in range(len(victims))]
+
     def test_complete_graph_survives(self):
-        assert delete_and_check(graph(4, K4), [0, 1]) == [True, True]
+        assert self.prefix_flags(graph(4, K4), [0, 1]) == [True, True]
 
     def test_path_middle_node(self):
-        assert delete_and_check(graph(3, PATH3), [1]) == [False]
+        assert self.prefix_flags(graph(3, PATH3), [1]) == [False]
 
     def test_full_min_cut_deletion_profile(self):
         # deleting a minimum cut: connected up to the last node, then split
@@ -257,7 +264,7 @@ class TestDeleteAndCheck:
             if kappa < 1 or cut.size == 0:
                 continue
             checked += 1
-            flags = delete_and_check(g, sorted(cut.tolist()))
+            flags = self.prefix_flags(g, sorted(cut.tolist()))
             assert flags[-1] is False
             assert all(flags[:-1])
 
@@ -272,15 +279,8 @@ class TestDeleteAndCheck:
                 continue
             checked += 1
             for perm in itertools.permutations(cut.tolist()):
-                flags = delete_and_check(g, list(perm))
+                flags = self.prefix_flags(g, list(perm))
                 assert all(flags[:-1]) and flags[-1] is False
-
-    def test_rejects_duplicates_and_out_of_range(self):
-        g = graph(3, PATH3)
-        with pytest.raises(ValueError):
-            delete_and_check(g, [1, 1])
-        with pytest.raises(ValueError):
-            delete_and_check(g, [3])
 
 
 class TestReport:

@@ -1,10 +1,29 @@
 """CLI surface: flags, exit codes, command round trips."""
 
+import copy
+import json
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from keygraph.cli import main
 
 FIG4_ARGS = ["--trials", "2", "--seed", "5"]
+
+VALID_SPEC = {
+    "name": "cli-mini",
+    "base": {"n": 24, "mu": [0.5, 0.5], "K": [3, 5], "P": 30, "alpha": 0.5},
+    "sweep": {"kind": "K1", "values": [3, 4],
+              "rule": {"kind": "offsets", "values": [0, 2]}},
+    "trials": 2, "k_list": [2], "master_seed": 1,
+}
+REQUIRED_KEYS = (("name",), ("base",), ("sweep",), ("sweep", "kind"),
+                 ("sweep", "values"))
+LIST_KEYS = (("sweep", "values"), ("k_list",), ("base", "mu"), ("base", "K"),
+             ("sweep", "rule", "values"))
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                    st.text(max_size=4))
 
 
 class TestExitCodes:
@@ -29,6 +48,31 @@ class TestExitCodes:
                    "--out", str(tmp_path / "out.csv")])
         assert rc == 1
         assert "missing.json" in capsys.readouterr().err
+
+
+class TestSpecBoundary:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(
+        st.tuples(st.just("drop"), st.sampled_from(REQUIRED_KEYS), st.none()),
+        st.tuples(st.just("scalar"), st.sampled_from(LIST_KEYS), SCALARS)))
+    def test_malformed_spec_is_invalid_arguments(self, capsys, tmp_path, mutation):
+        # a dropped required key or a scalar list exits 2, naming the key
+        how, path, value = mutation
+        d = copy.deepcopy(VALID_SPEC)
+        parent = d
+        for key in path[:-1]:
+            parent = parent[key]
+        if how == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(d))
+        rc = main(["run", "--spec", str(spec), "--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "invalid arguments" in err and path[-1] in err
 
 
 class TestProb:

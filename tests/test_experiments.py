@@ -2,19 +2,23 @@
 
 import json
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import keygraph.experiments as ex
 from keygraph import (ExperimentResult, ExperimentSpec, KeyProfileRule,
-                      ModelParams, RecordFlags, SeedSpec, delete_and_check,
-                      deletion_experiment, is_connected, load_spec,
-                      run_experiment, sample_network, vertex_connectivity,
-                      wilson_halfwidth, write_csv, write_dat)
-from keygraph.experiments import (CSV_COLUMNS, RunStamp, fig1_specs,
-                                  fig2_spec, fig3_specs, fig4_specs,
-                                  spec_from_dict)
+                      ModelParams, RecordFlags, SeedSpec, is_connected,
+                      load_spec, min_degree, run_experiment, sample_network,
+                      vertex_connectivity, wilson_halfwidth, write_csv,
+                      write_dat)
+from keygraph.experiments import (CSV_COLUMNS, fig1_specs, fig2_spec,
+                                  fig3_specs, fig4_specs, spec_from_dict)
+from keygraph.rng import derive_master
+from oracles import connected_after_removal
 
 DATA = Path(__file__).parent / "data"
 
@@ -32,6 +36,28 @@ def mini_spec(**kw):
     )
     base.update(kw)
     return ExperimentSpec(**base)
+
+
+def deletion_spec(depths=(0, 1, 2), trials=12,
+                  record=RecordFlags(vertex_cut_curve=True)):
+    base = ModelParams(n=24, mu=(0.5, 0.5), K=(3, 5), P=30, alpha=0.6)
+    return ExperimentSpec(name="del", base=base, sweep_kind="depth",
+                          sweep_values=depths, trials=trials, k_list=(3,),
+                          master_seed=11, record=record)
+
+
+def counting_pool(monkeypatch, cores):
+    """Report ``cores`` cores and record the worker count of every pool."""
+    made = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", CountingPool)
+    return made
 
 
 class TestSpecValidation:
@@ -83,11 +109,49 @@ class TestRunExperiment:
             assert all(a >= b for a, b in zip(probs, probs[1:]))
 
     def test_deterministic_across_worker_counts(self, tmp_path):
-        spec = mini_spec()
+        for spec in (mini_spec(), deletion_spec()):
+            a, b = tmp_path / "w1.csv", tmp_path / "w2.csv"
+            write_csv(run_experiment(spec, workers=1), a)
+            write_csv(run_experiment(spec, workers=2), b)
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_one_pool_per_run(self, tmp_path, monkeypatch):
+        spec = mini_spec(sweep_values=(3, 4, 5))
         a, b = tmp_path / "w1.csv", tmp_path / "w2.csv"
         write_csv(run_experiment(spec, workers=1), a)
+        made = counting_pool(monkeypatch, cores=2)
         write_csv(run_experiment(spec, workers=2), b)
+        assert made == [2]  # one pool for three sweep values, not one each
         assert a.read_bytes() == b.read_bytes()
+
+    def test_workers_clamped_to_core_count(self, monkeypatch):
+        made = counting_pool(monkeypatch, cores=1)
+        rows = run_experiment(mini_spec(), workers=2).rows
+        assert made == []
+        assert rows == run_experiment(mini_spec(), workers=1).rows
+
+    def test_unrecorded_connectivity_runs_no_predicate(self, monkeypatch):
+        # a k = 5 sweep that records only the degree event makes no
+        # k-connectivity call; its rows hold the degree counts alone
+        calls = []
+        check = ex.is_k_connected
+        monkeypatch.setattr(ex, "is_k_connected",
+                            lambda *a: calls.append(a) or check(*a))
+        base = ModelParams(n=30, mu=(0.5, 0.5), K=(4, 6), P=40, alpha=0.8)
+        spec = ExperimentSpec(name="deg", base=base, sweep_kind="k",
+                              sweep_values=(5,), trials=3, master_seed=2,
+                              record=RecordFlags(k_connectivity=False))
+        row = run_experiment(spec).rows[0]
+        assert calls == []
+        master = derive_master(spec.master_seed, 0)
+        deltas = [min_degree(sample_network(base, SeedSpec(master, t)).graph())
+                  for t in range(spec.trials)]
+        count = sum(d >= 5 for d in deltas)
+        assert (row.count_mindeg, row.prob_mindeg) == (count, count / 3)
+        assert row.mean_delta == sum(deltas) / 3
+        assert row.ci_half == wilson_halfwidth(count, 3)
+        assert row.count_kconn is None and row.prob_kconn is None
+        assert row.mismatch_count is None and row.mean_kappa is None
 
     def test_deep_k_records_exact_connectivity(self):
         res = run_experiment(mini_spec(k_list=(1, 3)))
@@ -155,23 +219,13 @@ class TestRunExperiment:
 
 
 class TestDeletionExperiment:
-    def deletion_spec(self, depths=(0, 1, 2), trials=12, n=24):
-        base = ModelParams(n=n, mu=(0.5, 0.5), K=(3, 5), P=30, alpha=0.6)
-        return ExperimentSpec(name="del", base=base, sweep_kind="depth",
-                              sweep_values=depths, trials=trials, k_list=(3,),
-                              master_seed=11,
-                              record=RecordFlags(vertex_cut_curve=True))
-
     def test_requires_cut_curve_flag(self):
-        spec = self.deletion_spec()
-        bad = ExperimentSpec(**{**spec.__dict__, "record": RecordFlags()})
-        with pytest.raises(ValueError):
-            deletion_experiment(bad)
+        with pytest.raises(ValueError, match="vertex_cut_curve"):
+            deletion_spec(record=RecordFlags())
 
     def test_depth_zero_equals_connectivity_probability(self):
-        from keygraph.rng import derive_master
-        spec = self.deletion_spec()
-        res = deletion_experiment(spec)
+        spec = deletion_spec()
+        res = run_experiment(spec)
         row0 = res.rows[0]
         row_master = derive_master(spec.master_seed, 0)
         connected = sum(
@@ -186,34 +240,41 @@ class TestDeletionExperiment:
                               sweep_values=tuple(range(0, 7)), trials=3,
                               k_list=(2,), master_seed=1,
                               record=RecordFlags(vertex_cut_curve=True))
-        res = deletion_experiment(spec)
+        res = run_experiment(spec)
         assert all(row.prob_kconn == 1.0 for row in res.rows)
 
     def test_survival_rule_matches_literal_deletion(self):
         # the connectivity-threshold rule equals physically removing nodes
         # from the minimum cut, at every depth the protocol defines
-        from keygraph.rng import derive_master
-        spec = self.deletion_spec(depths=tuple(range(0, 5)), trials=20)
+        spec = deletion_spec(depths=tuple(range(0, 5)), trials=20)
         row_master = derive_master(spec.master_seed, 0)
         for t in range(spec.trials):
             g = sample_network(spec.base, SeedSpec(row_master, t)).graph()
             kappa, cut = vertex_connectivity(g)
-            flags = delete_and_check(g, cut.tolist()) if cut.size else []
             for d in range(0, kappa + 1):
                 rule_survives = kappa > d
-                literal = is_connected(g) if d == 0 else flags[d - 1]
+                literal = connected_after_removal(g.n, g.edges, cut[:d].tolist())
                 assert rule_survives == literal
 
-    def test_run_experiment_routes_depth_sweeps(self):
-        spec = self.deletion_spec()
-        a = deletion_experiment(spec)
-        b = run_experiment(spec)
-        assert a.rows == b.rows
-
     def test_survival_non_increasing_in_depth(self):
-        res = deletion_experiment(self.deletion_spec(depths=tuple(range(0, 6))))
+        res = run_experiment(deletion_spec(depths=tuple(range(0, 6))))
         probs = [r.prob_kconn for r in res.rows]
         assert all(a >= b for a, b in zip(probs, probs[1:]))
+
+    def test_depth_sweep_honours_record_flags(self, tmp_path):
+        import csv as csvmod
+        full = run_experiment(deletion_spec()).rows
+        flags = RecordFlags(min_degree=False, vertex_cut_curve=True)
+        rows = run_experiment(deletion_spec(record=flags)).rows
+        path = tmp_path / "del.csv"
+        write_csv(ExperimentResult(rows=rows), path)
+        for a, b in zip(full, rows):
+            assert b.count_mindeg is None and b.prob_mindeg is None
+            assert b.mismatch_count is None
+            assert (b.count_kconn, b.ci_half, b.mean_kappa) == (
+                a.count_kconn, a.ci_half, a.mean_kappa)
+        with open(path) as fh:
+            assert all(r["count_mindeg"] == "" for r in csvmod.DictReader(fh))
 
 
 class TestWilson:
@@ -244,7 +305,7 @@ class TestWilson:
 
 class TestCsv:
     def test_header_only_for_empty_result(self, tmp_path):
-        res = ExperimentResult(rows=(), stamp=RunStamp(0, 0, "x"))
+        res = ExperimentResult(rows=())
         path = tmp_path / "empty.csv"
         write_csv(res, path)
         assert path.read_text() == CSV_COLUMNS + "\n"
@@ -278,7 +339,7 @@ class TestCsv:
         assert path.read_bytes() == (DATA / "golden_mini.csv").read_bytes()
 
     def test_write_csv_error_carries_path(self, tmp_path):
-        res = ExperimentResult(rows=(), stamp=RunStamp(0, 0, "x"))
+        res = ExperimentResult(rows=())
         bad = tmp_path / "missing_dir" / "out.csv"
         with pytest.raises(OSError, match="missing_dir"):
             write_csv(res, bad)

@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import keygraph
 import keygraph.sampler
-from keygraph import (ModelParams, SeedSpec, edge_prob_key, intersect_rings,
-                      read_network, sample_network, write_network)
-from keygraph.sampler import _draw_rings
+from keygraph import (ModelParams, SeedSpec, edge_prob_key, read_network,
+                      sample_network, write_network)
+from keygraph.sampler import _draw_rings, _key_sharing_pairs
 from oracles import floyd_ring, naive_intersects, per_row_channel_pairs
 
 DATA = Path(__file__).parent / "data"
@@ -20,6 +21,16 @@ def small_params(**kw):
     base = dict(n=50, mu=(0.5, 0.5), K=(2, 3), P=10, alpha=0.5)
     base.update(kw)
     return ModelParams(**base)
+
+
+def intersect_rings(a, b) -> bool:
+    """Whether the sampler's key -> holders index pairs two nodes whose rings
+    are ``a`` and ``b``."""
+    data = np.concatenate([a, b]).astype(np.int64)
+    node = np.repeat(np.arange(2, dtype=np.int64), [len(a), len(b)])
+    pairs = _key_sharing_pairs(2, data, node).tolist()
+    assert pairs in ([], [[0, 1]])
+    return bool(pairs)
 
 
 class TestIntersectRings:
@@ -38,6 +49,12 @@ class TestIntersectRings:
             a = np.sort(rng.choice(10, size=3, replace=False))
             b = np.sort(rng.choice(10, size=3, replace=False))
             assert intersect_rings(a, b) == naive_intersects(a, b)
+
+
+@pytest.mark.parametrize("module", [keygraph, keygraph.sampler])
+def test_every_exported_name_resolves(module):
+    for name in module.__all__:
+        assert hasattr(module, name), name
 
 
 class TestDeterminism:
@@ -99,7 +116,7 @@ class TestStructure:
         expect = {
             (x, y)
             for x, y in itertools.combinations(range(net.n), 2)
-            if intersect_rings(net.ring(x), net.ring(y))
+            if naive_intersects(net.ring(x), net.ring(y))
         }
         assert set(map(tuple, net.edges_key.tolist())) == expect
 
