@@ -1,14 +1,15 @@
 """Exact structural analysis of sampled graphs.
 
-Vertex connectivity is computed exactly with the classic node-splitting
-reduction: every node v becomes an arc v_in -> v_out of capacity one, every
-undirected edge becomes a pair of uncapacitated arcs, and the connectivity
-between two non-adjacent nodes equals the max flow between them.  Following
-Even and Tarjan, the global value is the minimum of those local values over
-(a) all nodes non-adjacent to a fixed minimum-degree node s and (b) all
-non-adjacent pairs of neighbors of s.  Max flows and graph searches are
-delegated to scipy.sparse.csgraph; everything around them (reduction, pair
-enumeration, cut recovery, articulation test, degree bookkeeping) is local.
+Vertex connectivity follows Even and Tarjan: the global value is the minimum
+of the local connectivities kappa(s, t) over (a) all nodes non-adjacent to a
+fixed minimum-degree node s and (b) all non-adjacent pairs of neighbors of s.
+Each local value is the size of a maximum bipartite matching (Hopcroft-Karp)
+on a node-split graph; see :class:`_LocalConnectivity`.  The cut comes from
+one max flow on the classic node-splitting reduction (every node v becomes
+an arc v_in -> v_out of capacity one), run for the minimum pair only.
+Matchings, flows and graph searches are delegated to scipy.sparse.csgraph;
+everything around them (reductions, pair enumeration, cut recovery,
+articulation test, degree bookkeeping) is local.
 
 All functions are pure; scratch state is per call, so concurrent use on
 distinct graphs is safe.
@@ -22,14 +23,16 @@ from typing import Iterable
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import (breadth_first_order, connected_components,
-                                  depth_first_order, maximum_flow)
+                                  depth_first_order, maximum_bipartite_matching,
+                                  maximum_flow)
 
 
 class Graph:
     """Compact undirected graph: flat edge list plus CSR adjacency.
 
     Edges are validated (no self-loops, no duplicates), normalized to u < v
-    and stored lexicographically sorted.  Node ids are 0..n-1.
+    and stored lexicographically sorted.  Node ids are 0..n-1.  Input that
+    is already in that form (as the sampler emits it) is not sorted again.
     """
 
     __slots__ = ("n", "edges", "indptr", "indices")
@@ -37,24 +40,30 @@ class Graph:
     def __init__(self, n: int, edges):
         if n < 1:
             raise ValueError("graph needs at least one node")
-        e = np.asarray(edges, dtype=np.int32).reshape(-1, 2)
+        e = np.array(edges, dtype=np.int32).reshape(-1, 2)
         if e.size:
             if e.min() < 0 or e.max() >= n:
                 raise ValueError("edge endpoint out of range")
             if (e[:, 0] == e[:, 1]).any():
                 raise ValueError("self-loops are not allowed")
-            e = np.sort(e, axis=1)
-            codes = np.sort(e[:, 0].astype(np.int64) * n + e[:, 1])
-            if (codes[1:] == codes[:-1]).any():
-                raise ValueError("duplicate edges are not allowed")
-            e = np.stack([(codes // n).astype(np.int32),
-                          (codes % n).astype(np.int32)], axis=1)
+            if not (e[:, 0] < e[:, 1]).all():
+                e.sort(axis=1)
+            codes = e[:, 0].astype(np.int64) * n + e[:, 1]
+            if not (codes[1:] > codes[:-1]).all():
+                codes.sort()
+                if (codes[1:] == codes[:-1]).any():
+                    raise ValueError("duplicate edges are not allowed")
+                e = np.stack([(codes // n).astype(np.int32),
+                              (codes % n).astype(np.int32)], axis=1)
         self.n = int(n)
         self.edges = e
-        both_u = np.concatenate([e[:, 0], e[:, 1]])
-        both_v = np.concatenate([e[:, 1], e[:, 0]])
-        order = np.lexsort((both_v, both_u))
-        self.indices = both_v[order]
+        # Row x lists the neighbors a < x (reversed half, ascending with the
+        # sorted edges), then those b > x; a stable sort on x keeps that
+        # order, and numpy radix-sorts keys that fit in 16 bits.
+        both_u = np.concatenate([e[:, 1], e[:, 0]])
+        both_v = np.concatenate([e[:, 0], e[:, 1]])
+        key = both_u.astype(np.uint16) if n <= 1 << 16 else both_u
+        self.indices = both_v[np.argsort(key, kind="stable")]
         counts = np.bincount(both_u, minlength=n)
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=self.indptr[1:])
@@ -158,8 +167,66 @@ def _flow_pairs(g: Graph) -> Iterable[tuple]:
                 yield u, v
 
 
-def _local_connectivity(mat: csr_matrix, src: int, dst: int):
-    return maximum_flow(mat, 2 * src + 1, 2 * dst)
+class _LocalConnectivity:
+    """kappa(s, t) of non-adjacent nodes s, t of one graph, by matching.
+
+    The bipartite graph H has a row v+ and a column v- per node v, a row
+    sigma_x per neighbor x of s and a column tau_y per neighbor y of t.
+    Row v+ holds the self arc v+ -> v- first, then v+ -> u- for every
+    neighbor u; rows s+ and t+ keep only the self arc; y+ -> tau_y for y in
+    N(t) and sigma_x -> x- for x in N(s).  A matching is the identity on the
+    nodes off a set of internally disjoint s-t paths s, x, ..., y, t plus
+    sigma_x -> x-, the successor arcs along each path and y+ -> tau_y, one
+    sigma row more per path; so kappa(s, t) = nu(H) - n.
+
+    One CSR template, row v being [v, N(v), v], is edited in place for each
+    pair and restored after it: rows s and t are filled with their self arc,
+    the spare last slot of y becomes tau_y, and the sigma rows after the
+    node rows hold N(s).  A repeated arc does not change a matching, and the
+    unused sigma rows stay empty and the unused tau columns isolated, so H
+    keeps the shape (n + Delta) x (n + Delta) for every pair.
+    """
+
+    def __init__(self, g: Graph):
+        n, deg = g.n, g.degrees
+        span = int(deg.max())
+        nnz = int(g.indices.size) + 2 * n
+        self.ramp = np.arange(1, span + 1)
+        ptr = np.empty(n + span + 1, dtype=np.int32)
+        ptr[0] = 0
+        np.cumsum(deg + 2, out=ptr[1:n + 1])
+        # One slot per sigma row for now, or scipy would prune the tail.
+        ptr[n + 1:] = nnz + self.ramp
+        starts, spare = ptr[:n], ptr[1:n + 1] - 1
+        idx = np.zeros(nnz + span, dtype=np.int32)
+        idx[starts] = idx[spare] = np.arange(n)
+        inner = np.ones(nnz, dtype=bool)
+        inner[starts] = inner[spare] = False
+        idx[:nnz][inner] = g.indices
+        mat = csr_matrix((np.ones(idx.size, dtype=np.int8), idx, ptr),
+                         shape=(n + span, n + span))
+        self.g, self.n, self.nnz, self.mat = g, n, nnz, mat
+        # Edit the arrays scipy holds; they are what the matching reads.
+        self.idx, self.ptr = mat.indices, mat.indptr
+        self.template = self.idx.copy()
+        self.spare = spare
+        self.tau = n + np.arange(span, dtype=np.int32)
+        self.s = None
+
+    def __call__(self, s: int, t: int) -> int:
+        idx, ptr, n = self.idx, self.ptr, self.n
+        if s != self.s:
+            ns = self.g.neighbors(s)
+            idx[self.nnz:self.nnz + ns.size] = ns
+            ptr[n + 1:] = self.nnz + np.minimum(self.ramp, ns.size)
+            self.s = s
+        nt = self.g.neighbors(t)
+        spare = self.spare[nt]
+        rs, rt = slice(ptr[s], ptr[s + 1]), slice(ptr[t], ptr[t + 1])
+        idx[rs], idx[rt], idx[spare] = s, t, self.tau[:nt.size]
+        matched = maximum_bipartite_matching(self.mat, perm_type="column")
+        idx[rs], idx[rt], idx[spare] = self.template[rs], self.template[rt], nt
+        return int(np.count_nonzero(matched >= 0)) - n
 
 
 def _cut_from_flow(g: Graph, mat: csr_matrix, flow, src: int) -> np.ndarray:
@@ -187,20 +254,24 @@ def vertex_connectivity(g) -> tuple:
         return 0, empty
     if g.is_complete():
         return g.n - 1, empty
-    mat = _split_flow_matrix(g)
+    local = _LocalConnectivity(g)
     best = None
     for src, dst in _flow_pairs(g):
-        flow = _local_connectivity(mat, src, dst)
-        value = int(flow.flow_value)
+        value = local(src, dst)
         if best is None or value < best:
-            best, best_flow, best_src = value, flow, src
+            best, best_src, best_dst = value, src, dst
             # Stop at a proven lower bound: 1 (connected), or 2 once the
             # graph is known biconnected; no later pair can improve strictly.
             if best == 1 or (best == 2 and _is_biconnected(g)):
                 break
     # A connected non-complete graph always yields at least one pair, and the
     # strict-improvement update keeps the first pair attaining the minimum.
-    cut = _cut_from_flow(g, mat, best_flow, best_src)
+    # Every max flow of that pair has the same minimal source-side cut.
+    mat = _split_flow_matrix(g)
+    flow = maximum_flow(mat, 2 * best_src + 1, 2 * best_dst)
+    if flow.flow_value != best:
+        raise AssertionError("max flow disagrees with the matching")
+    cut = _cut_from_flow(g, mat, flow, best_src)
     if cut.size != best:
         raise AssertionError("recovered cut size disagrees with connectivity")
     return best, cut
@@ -240,8 +311,8 @@ def is_k_connected(g, k: int) -> bool:
     """True iff the vertex connectivity is at least k.
 
     Cheap refutations first (degree bound, then connectivity / biconnectivity
-    for k <= 2); the flow-based enumeration runs only for k >= 3 and stops at
-    the first local connectivity below k.
+    for k <= 2); the pair enumeration runs only for k >= 3 and stops at the
+    first local connectivity below k.
     """
     g = as_graph(g)
     if g.n < 2:
@@ -260,11 +331,8 @@ def is_k_connected(g, k: int) -> bool:
         return _is_biconnected(g)
     if g.is_complete():
         return True
-    mat = _split_flow_matrix(g)
-    for src, dst in _flow_pairs(g):
-        if int(_local_connectivity(mat, src, dst).flow_value) < k:
-            return False
-    return True
+    local = _LocalConnectivity(g)
+    return all(local(src, dst) >= k for src, dst in _flow_pairs(g))
 
 
 def connectivity_report(g) -> ConnectivityReport:

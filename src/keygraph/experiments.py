@@ -357,17 +357,31 @@ def _check_keys(d, context: str, allowed: set, required: tuple = ()) -> dict:
     return d
 
 
-def _as_list(value, name: str):
+def _number(value, name: str, integer: bool = False):
+    """``value`` once it is a finite JSON number, and integral if ``integer``."""
+    ok = isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(value, float):
+        ok = value.is_integer() if integer else math.isfinite(value)
+    if not ok:
+        kind = "an integer" if integer else "a finite number"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
+def _as_list(value, name: str, integer: bool = False):
+    """``value`` once it is a list of numbers (integers if ``integer``)."""
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{name} must be a list, got {value!r}")
+    for i, item in enumerate(value):
+        _number(item, f"{name}[{i}]", integer)
     return value
 
 
 def spec_from_dict(d: dict) -> ExperimentSpec:
     """Build an ExperimentSpec from parsed JSON.
 
-    An unknown or missing key, or a scalar where a list belongs, raises
-    ValueError naming the key.
+    An unknown or missing key, a scalar where a list belongs, or a
+    non-number where a number belongs raises ValueError naming the key.
     """
     _check_keys(d, "experiment spec", {"name", "base", "sweep", "trials", "k_list",
                                        "master_seed", "record"},
@@ -375,13 +389,16 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     base_d = _check_keys(d["base"], "base", {"n", "mu", "K", "P", "alpha", "normalize_mu"},
                          ("n", "mu", "K", "P", "alpha"))
     _as_list(base_d["mu"], "base.mu")
-    _as_list(base_d["K"], "base.K")
+    _as_list(base_d["K"], "base.K", integer=True)
+    _number(base_d["n"], "base.n", integer=True)
+    _number(base_d["P"], "base.P", integer=True)
+    _number(base_d["alpha"], "base.alpha")
     base = ModelParams(**base_d)
     sweep = _check_keys(d["sweep"], "sweep", {"kind", "values", "rule"}, ("kind", "values"))
     rule = None
     if sweep.get("rule") is not None:
         rule_d = _check_keys(sweep["rule"], "rule", {"kind", "values"}, ("kind", "values"))
-        values = _as_list(rule_d["values"], "rule.values")
+        values = _as_list(rule_d["values"], "rule.values", integer=True)
         if rule_d["kind"] == "offsets":
             rule = KeyProfileRule.offsets(*values)
         elif rule_d["kind"] == "fixed_tail":
@@ -396,9 +413,10 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
         sweep_kind=str(sweep["kind"]),
         sweep_values=tuple(_as_list(sweep["values"], "sweep.values")),
         rule=rule,
-        trials=int(d.get("trials", 200)),
-        k_list=tuple(int(k) for k in _as_list(d.get("k_list", [2]), "k_list")),
-        master_seed=int(d.get("master_seed", 0)),
+        trials=int(_number(d.get("trials", 200), "trials", integer=True)),
+        k_list=tuple(int(k) for k in _as_list(d.get("k_list", [2]), "k_list",
+                                              integer=True)),
+        master_seed=int(_number(d.get("master_seed", 0), "master_seed", integer=True)),
         record=RecordFlags(**{k: bool(v) for k, v in record_d.items()}),
     )
 

@@ -221,35 +221,82 @@ def write_network(net: SampledNetwork, path) -> None:
 
 
 def read_network(path) -> SampledNetwork:
-    """Load a sample written by :func:`write_network` (factor sets are not stored)."""
+    """Load a sample written by :func:`write_network` (factor sets are not stored).
+
+    Everything the format fixes is checked: the header is a valid parameter
+    set; each node line has a class label in 1..r and a ring of K[class]
+    keys, strictly increasing within [0, P); each edge joins two distinct
+    nodes in range that share a key, and no pair appears twice.  A violation
+    raises ValueError naming the file and the line (and the node or edge).
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in (raw.strip() for raw in fh) if ln]
-    n_s, P_s, alpha_s, r_s = lines[0].split()
-    n, P, r = int(n_s), int(P_s), int(r_s)
-    mu = [float(v) for v in lines[1].split()]
-    K = [int(v) for v in lines[2].split()]
-    if len(mu) != r or len(K) != r:
-        raise ValueError(f"{path}: class count mismatch in header")
-    params = ModelParams(n=n, mu=mu, K=K, P=P, alpha=float(alpha_s))
+        lines = [(no, ln) for no, ln in enumerate((raw.strip() for raw in fh), 1) if ln]
+
+    def bad(no, what):
+        return ValueError(f"{path}, line {no}: {what}")
+
+    def ints(no, text):
+        try:
+            return [int(v) for v in text.split()]
+        except ValueError:
+            raise bad(no, f"expected integers, got {text!r}") from None
+
+    if len(lines) < 3:
+        raise ValueError(f"{path}: the header needs three lines")
+    try:
+        n_s, P_s, alpha_s, r_s = lines[0][1].split()
+        n, P, r = int(n_s), int(P_s), int(r_s)
+        mu = [float(v) for v in lines[1][1].split()]
+        K = [int(v) for v in lines[2][1].split()]
+        if len(mu) != r or len(K) != r:
+            raise ValueError("class count mismatch")
+        params = ModelParams(n=n, mu=mu, K=K, P=P, alpha=float(alpha_s))
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad header: {exc}") from None
+    if len(lines) < 3 + n:
+        raise ValueError(f"{path}: {n} node lines expected, found {len(lines) - 3}")
     classes = np.empty(n, dtype=np.int16)
     indptr = np.zeros(n + 1, dtype=np.int64)
     rings = []
     for x in range(n):
-        parts = lines[3 + x].split()
-        classes[x] = int(parts[0])
-        count = int(parts[1])
-        keys = np.array([int(v) for v in parts[2:]], dtype=np.int64)
-        if keys.size != count:
-            raise ValueError(f"{path}: node {x} declares {count} keys, has {keys.size}")
+        no, text = lines[3 + x]
+        parts = ints(no, text)
+        if len(parts) < 2 or len(parts) - 2 != parts[1]:
+            raise bad(no, f"node {x} must list 'class keycount' and that many keys")
+        c, keys = parts[0], parts[2:]
+        if not 1 <= c <= r:
+            raise bad(no, f"node {x} has class {c}, outside 1..{r}")
+        if len(keys) != K[c - 1]:
+            raise bad(no, f"node {x} of class {c} holds {len(keys)} keys, not {K[c - 1]}")
+        if keys[0] < 0 or keys[-1] >= P or any(a >= b for a, b in zip(keys, keys[1:])):
+            raise bad(no, f"node {x}: keys must increase strictly within [0, {P})")
+        classes[x] = c
         rings.append(keys)
-        indptr[x + 1] = indptr[x] + count
+        indptr[x + 1] = indptr[x] + len(keys)
     edge_lines = lines[3 + n:]
-    edges = np.array([[int(a) for a in ln.split()] for ln in edge_lines],
-                     dtype=np.int32).reshape(len(edge_lines), 2)
+    edges = np.empty((len(edge_lines), 2), dtype=np.int64)
+    for i, (no, text) in enumerate(edge_lines):
+        pair = ints(no, text)
+        if len(pair) != 2 or not all(0 <= v < n for v in pair):
+            raise bad(no, f"an edge line holds two node ids in 0..{n - 1}")
+        edges[i] = pair
+    ring_data = np.array([k for ring in rings for k in ring], dtype=np.int64)
+    lo, hi = edges.min(axis=1), edges.max(axis=1)
+    codes = lo * n + hi
+    shared = _key_sharing_pairs(n, ring_data, np.repeat(np.arange(n), np.diff(indptr)))
+    repeat = np.ones(codes.size, dtype=bool)
+    repeat[np.unique(codes, return_index=True)[1]] = False
+    for fault, what in ((lo == hi, "self-loop"),
+                        (repeat, "repeats an earlier edge"),
+                        (~np.isin(codes, shared[:, 0] * n + shared[:, 1]),
+                         "its endpoints share no key")):
+        if fault.any():
+            i = int(np.argmax(fault))
+            raise bad(edge_lines[i][0], f"edge {edges[i, 0]} {edges[i, 1]}: {what}")
     return SampledNetwork(
         params=params,
         classes=classes,
-        ring_data=(np.concatenate(rings) if rings else np.empty(0, dtype=np.int64)),
+        ring_data=ring_data,
         ring_indptr=indptr,
-        edges=edges,
+        edges=edges.astype(np.int32),
     )

@@ -1,11 +1,11 @@
 """Independent brute-force oracles used to validate the fast paths.
 
 Nothing here shares code with the package: key-share probabilities come from
-literal enumeration of ring pairs, connectivity from exhaustive subset
-removal, ring intersection from a quadratic scan, the degree law from
-binomial sums or from summing over every outcome of a tiny model, key rings
-and channel indicators from one scalar draw at a time.  Deliberately slow
-and simple.
+literal enumeration of ring pairs, connectivity (global and between two
+nodes) from exhaustive subset removal, ring intersection from a quadratic
+scan, the degree law from binomial sums or from summing over every outcome
+of a tiny model, key rings and channel indicators from one scalar draw at a
+time.  Deliberately slow and simple.
 """
 
 from fractions import Fraction
@@ -173,6 +173,28 @@ def brute_vertex_connectivity(n: int, edges) -> int:
             if not connected_after_removal(n, edges, sub):
                 return c
     return n - 1
+
+
+def brute_local_connectivity(n: int, edges, s: int, t: int) -> int:
+    """Fewest nodes other than s and t whose removal separates non-adjacent
+    s and t (by Menger, the most internally disjoint s-t paths)."""
+    adj = _adjacency(n, edges)
+    if t in adj[s]:
+        raise ValueError("s and t are adjacent")
+    others = [v for v in range(n) if v not in (s, t)]
+    for c in range(len(others) + 1):
+        for sub in combinations(others, c):
+            blocked = set(sub)
+            seen = {s}
+            stack = [s]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if w not in blocked and w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            if t not in seen:
+                return c
+    raise AssertionError("removing every other node must separate s and t")
 
 
 def brute_min_cuts(n: int, edges, size: int) -> list:

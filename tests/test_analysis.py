@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import depth_first_order
+from scipy.sparse.csgraph import (breadth_first_order, depth_first_order,
+                                  maximum_flow)
 
 import keygraph.analysis
 from keygraph import (Graph, ModelParams, SeedSpec, connectivity_report,
                       is_connected, is_k_connected, min_degree,
                       sample_network, vertex_connectivity)
-from keygraph.analysis import (_cut_from_flow, _flow_pairs, _is_biconnected,
-                               _local_connectivity, _split_flow_matrix)
-from oracles import (brute_min_cuts, brute_vertex_connectivity,
-                     connected_after_removal)
+from keygraph.analysis import _flow_pairs, _is_biconnected, _LocalConnectivity
+from oracles import (brute_local_connectivity, brute_min_cuts,
+                     brute_vertex_connectivity, connected_after_removal)
 
 
 def graph(n, edges):
@@ -50,15 +50,43 @@ def biconnected_oracle(n, edges):
         connected_after_removal(n, edges, [v]) for v in range(n))
 
 
+def split_flow(g, src, dst):
+    """scipy max flow from src_out to dst_in on the node-split graph."""
+    n, (u, v) = g.n, g.edges.T
+    rows = np.concatenate([2 * np.arange(n), 2 * u + 1, 2 * v + 1])
+    cols = np.concatenate([2 * np.arange(n) + 1, 2 * v, 2 * u])
+    caps = np.concatenate([np.ones(n, np.int32), np.full(2 * g.m, n, np.int32)])
+    mat = csr_matrix((caps, (rows, cols)), shape=(2 * n, 2 * n))
+    return mat, maximum_flow(mat, 2 * src + 1, 2 * dst)
+
+
 def full_pair_loop(g):
-    """(kappa, cut) from every Even-Tarjan pair, with no early exit."""
-    mat = _split_flow_matrix(g)
+    """(kappa, cut) from a scipy max flow for every Even-Tarjan pair, with no
+    early exit; the cut is the split nodes the residual graph cuts off."""
     best = None
     for src, dst in _flow_pairs(g):
-        value = int(_local_connectivity(mat, src, dst).flow_value)
+        value = split_flow(g, src, dst)[1].flow_value
         if best is None or value < best:
             best, pair = value, (src, dst)
-    return best, _cut_from_flow(g, mat, _local_connectivity(mat, *pair), pair[0])
+    mat, flow = split_flow(g, *pair)
+    res = mat - flow.flow
+    res.eliminate_zeros()
+    reach = np.zeros(2 * g.n, dtype=bool)
+    reach[breadth_first_order(res, 2 * pair[0] + 1, return_predecessors=False)] = True
+    return best, np.flatnonzero(reach[0::2] & ~reach[1::2])
+
+
+def old_graph_arrays(n, edges):
+    """(edges, indptr, indices) as the lexsort construction built them."""
+    e = np.sort(np.asarray(edges, dtype=np.int32).reshape(-1, 2), axis=1)
+    codes = np.sort(e[:, 0].astype(np.int64) * n + e[:, 1])
+    e = np.stack([(codes // n).astype(np.int32),
+                  (codes % n).astype(np.int32)], axis=1)
+    both_u = np.concatenate([e[:, 0], e[:, 1]])
+    both_v = np.concatenate([e[:, 1], e[:, 0]])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(both_u, minlength=n), out=indptr[1:])
+    return e, indptr, both_v[np.lexsort((both_v, both_u))]
 
 
 class TestGraph:
@@ -73,6 +101,33 @@ class TestGraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             graph(3, [(0, 3)])
+
+    def test_rejects_duplicate_in_sorted_order(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            graph(4, [(0, 1), (0, 1), (2, 3)])
+
+    @pytest.mark.parametrize("layout", ["sorted", "shuffled", "flipped"])
+    def test_arrays_match_the_lexsort_construction(self, layout):
+        rng = np.random.default_rng(77)
+        p = ModelParams(n=500, mu=(0.5, 0.5), K=(20, 30), P=10**4, alpha=0.4)
+        cases = [(500, sample_network(p, SeedSpec(3, 0)).edges),
+                 (70000, [(69999, 0), (5, 70), (1, 65537)])]  # ids past 16 bits
+        for n in (1, 2, 9, 40):
+            iu, ju = np.triu_indices(n, 1)
+            keep = rng.random(iu.size) < 0.5
+            cases.append((n, np.stack([iu[keep], ju[keep]], axis=1)))
+        for n, edges in cases:
+            e = np.array(edges, dtype=np.int32).reshape(-1, 2)
+            if layout != "sorted":
+                e = e[rng.permutation(len(e))]
+            if layout == "flipped":
+                flip = rng.random(len(e)) < 0.5
+                e[flip] = e[flip, ::-1]
+            g = Graph(n, e)
+            for got, want in zip((g.edges, g.indptr, g.indices),
+                                 old_graph_arrays(n, e)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
 
 
 class TestMinDegree:
@@ -154,16 +209,47 @@ class TestVertexConnectivity:
 
     def test_low_min_degree_needs_one_pair(self, monkeypatch):
         # a pendant node (delta 1) and a cycle (delta 2, biconnected) each
-        # stop after the first pair, whose flow also yields the cut
-        calls = []
-        flow = keygraph.analysis.maximum_flow
-        monkeypatch.setattr(keygraph.analysis, "maximum_flow",
-                            lambda *a: calls.append(a) or flow(*a))
+        # stop after the first pair's matching; one flow then yields the cut
+        calls = {"maximum_flow": 0, "maximum_bipartite_matching": 0}
+        for name in calls:
+            fn = getattr(keygraph.analysis, name)
+
+            def counted(*a, _fn=fn, _name=name, **kw):
+                calls[_name] += 1
+                return _fn(*a, **kw)
+
+            monkeypatch.setattr(keygraph.analysis, name, counted)
         ring = [(i, (i + 1) % 12) for i in range(12)]
         for n, edges, kappa in ((13, ring + [(0, 12)], 1), (12, ring, 2)):
-            calls.clear()
+            calls.update(dict.fromkeys(calls, 0))
             assert vertex_connectivity(graph(n, edges))[0] == kappa
-            assert len(calls) == 1
+            assert calls == {"maximum_flow": 1, "maximum_bipartite_matching": 1}
+
+
+class TestLocalConnectivity:
+    """kappa(s, t) as a bipartite matching, against separator enumeration."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs(min_n=2, max_n=9))
+    def test_matching_equals_the_separator_oracle(self, g):
+        # every ordered non-adjacent pair on one instance, so the template
+        # edits of each pair must be undone before the next
+        local = _LocalConnectivity(g)
+        for s in range(g.n):
+            for t in range(g.n):
+                if s != t and not g.has_edge(s, t):
+                    assert local(s, t) == brute_local_connectivity(g.n, g.edges, s, t)
+
+    def test_is_k_connected_agrees_with_kappa_on_samples(self):
+        # n = 500 samples from kappa 4 to about 10; k runs past delta
+        for K1, seed in ((23, 7), (28, 8)):
+            p = ModelParams(n=500, mu=(0.5, 0.5), K=(K1, K1 + 10), P=10**4,
+                            alpha=0.4)
+            g = sample_network(p, SeedSpec(seed, 0)).graph()
+            kappa = vertex_connectivity(g)[0]
+            assert kappa >= 3
+            for k in range(3, min_degree(g) + 2):
+                assert is_k_connected(g, k) == (kappa >= k)
 
 
 class TestBiconnectivity:

@@ -22,8 +22,14 @@ REQUIRED_KEYS = (("name",), ("base",), ("sweep",), ("sweep", "kind"),
                  ("sweep", "values"))
 LIST_KEYS = (("sweep", "values"), ("k_list",), ("base", "mu"), ("base", "K"),
              ("sweep", "rule", "values"))
+NUMBER_KEYS = (("trials",), ("master_seed",), ("base", "n"), ("base", "P"),
+               ("base", "alpha"))
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
                     st.text(max_size=4))
+NON_NUMBERS = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                        st.lists(st.integers(), max_size=2),
+                        st.dictionaries(st.text(max_size=2), st.integers(),
+                                        max_size=1))
 
 
 class TestExitCodes:
@@ -51,13 +57,16 @@ class TestExitCodes:
 
 
 class TestSpecBoundary:
-    @settings(max_examples=60, deadline=None,
+    @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.one_of(
         st.tuples(st.just("drop"), st.sampled_from(REQUIRED_KEYS), st.none()),
-        st.tuples(st.just("scalar"), st.sampled_from(LIST_KEYS), SCALARS)))
+        st.tuples(st.just("scalar"), st.sampled_from(LIST_KEYS), SCALARS),
+        st.tuples(st.just("item"), st.sampled_from(LIST_KEYS), NON_NUMBERS),
+        st.tuples(st.just("number"), st.sampled_from(NUMBER_KEYS), NON_NUMBERS)))
     def test_malformed_spec_is_invalid_arguments(self, capsys, tmp_path, mutation):
-        # a dropped required key or a scalar list exits 2, naming the key
+        # a dropped required key, a scalar list, a non-number list item or a
+        # non-number in a number field exits 2, naming the key
         how, path, value = mutation
         d = copy.deepcopy(VALID_SPEC)
         parent = d
@@ -65,6 +74,8 @@ class TestSpecBoundary:
             parent = parent[key]
         if how == "drop":
             del parent[path[-1]]
+        elif how == "item":
+            parent[path[-1]][0] = value
         else:
             parent[path[-1]] = value
         spec = tmp_path / "spec.json"
@@ -73,6 +84,80 @@ class TestSpecBoundary:
         err = capsys.readouterr().err
         assert rc == 2
         assert "invalid arguments" in err and path[-1] in err
+
+
+    @pytest.mark.parametrize("key,value", [
+        ("trials", [1]), ("K", [[3], 5]), ("k_list", [[2]]), ("alpha", "0.5"),
+        ("trials", 2.5), ("values", [3, float("inf")])])
+    def test_reported_type_errors_exit_2(self, capsys, tmp_path, key, value):
+        d = copy.deepcopy(VALID_SPEC)
+        owner = {"K": d["base"], "alpha": d["base"], "values": d["sweep"]}.get(key, d)
+        owner[key] = value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(d))
+        rc = main(["run", "--spec", str(spec), "--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2 and key in err and "Traceback" not in err
+
+
+def corrupt_dump(lines, n, P, how, a, b):
+    """One field of a dump file's lines made invalid; a and b pick where."""
+    header, nodes, edges = lines[:3], lines[3:3 + n], lines[3 + n:]
+    x = a % n
+    node = nodes[x].split()
+    keys = node[2:]
+    j = b % (len(keys) - 1)
+    u, v = edges[a % len(edges)].split()
+    if how == "class":
+        node[0] = str([0, 3, -1][b % 3])
+    elif how == "ring_size":
+        node = [node[0], str(len(keys) - 1)] + keys[:-1]
+    elif how == "count":
+        node[1] = str(len(keys) + 1 + b % 3)
+    elif how == "key_range":
+        node[2 + j] = str([P, -1, P + 7][b % 3])
+    elif how == "key_repeat":
+        node[3 + j] = keys[j]
+    elif how == "key_order":
+        node[2 + j], node[3 + j] = keys[j + 1], keys[j]
+    elif how == "token":
+        node[b % len(node)] = ["x", "1.5", "-"][a % 3]
+    elif how == "edge_range":
+        edges[a % len(edges)] = f"{u} {[n, -1][b % 2]}"
+    elif how == "self_loop":
+        edges[a % len(edges)] = f"{u} {u}"
+    elif how == "duplicate":
+        edges.append(f"{v} {u}" if b % 2 else f"{u} {v}")
+    elif how == "no_share":
+        rings = [set(ln.split()[2:]) for ln in nodes]
+        y, z = next((y, z) for y in range(n) for z in range(y + 1, n)
+                    if not rings[y] & rings[z])
+        edges.insert(b % (len(edges) + 1), f"{y} {z}")
+    nodes[x] = " ".join(node)
+    return header + nodes + edges
+
+
+class TestNetworkBoundary:
+    KINDS = ("class", "ring_size", "count", "key_range", "key_repeat",
+             "key_order", "token", "edge_range", "self_loop", "duplicate",
+             "no_share")
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(KINDS), st.integers(0, 10**6), st.integers(0, 10**6))
+    def test_corrupt_dump_is_invalid_arguments(self, capsys, tmp_path, how, a, b):
+        dump = tmp_path / "net.txt"
+        assert main(["sample", "--n", "20", "--P", "30", "--mu", "0.5,0.5",
+                     "--K", "3,5", "--alpha", "0.6", "--seed", "9",
+                     "--out", str(dump)]) == 0
+        assert main(["analyze", "--in", str(dump)]) == 0
+        capsys.readouterr()
+        lines = dump.read_text().splitlines()
+        dump.write_text("\n".join(corrupt_dump(lines, 20, 30, how, a, b)) + "\n")
+        rc = main(["analyze", "--in", str(dump)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "invalid arguments" in err and str(dump) in err
 
 
 class TestProb:
