@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 
 from . import experiments as xp
 from .analysis import connectivity_report
@@ -82,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a JSON experiment spec")
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--dat", default=None, help="optional plot-data path")
+    p.add_argument("--dat", default=None, help="optional plot-data path prefix")
     p.add_argument("--workers", type=int, default=1)
 
     for name, help_text in (
@@ -165,47 +166,32 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _report_result(result) -> None:
+def _specs(args) -> list:
+    """The command's specs: the ``--spec`` file, or the figure's builder."""
+    if args.command == "run":
+        return [xp.load_spec(args.spec)]
+    seed = args.seed if args.seed is not None else _default_seed()
+    if args.command == "fig2":
+        return [xp.fig2_spec(trials=args.trials, master_seed=seed)]
+    return getattr(xp, f"{args.command}_specs")(trials=args.trials, master_seed=seed)
+
+
+def _cmd_sweep(args) -> int:
+    result = xp.run_experiment(*_specs(args), workers=args.workers)
+    xp.write_csv(result, args.out)
+    by_name = {}
     for row in result.rows:
+        by_name.setdefault(row.experiment, []).append(row)
         mism = "" if row.mismatch_count is None else f" mismatches={row.mismatch_count}"
         conn = "" if row.prob_kconn is None else f" P[conn>=k]={row.prob_kconn:.3f}"
         print(f"  {row.experiment} value={row.sweep_value} k={row.k}{conn}"
               f" +-{row.ci_half:.3f}{mism}")
-
-
-def _cmd_run(args) -> int:
-    spec = xp.load_spec(args.spec)
-    result = xp.run_experiment(spec, workers=args.workers)
-    xp.write_csv(result, args.out)
-    _report_result(result)
     print(f"wrote {args.out}")
     if args.dat:
-        xp.write_dat(result, args.dat)
-        print(f"wrote {args.dat}")
-    return 0
-
-
-def _cmd_fig(args, which: str) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    if which == "fig1":
-        specs = xp.fig1_specs(trials=args.trials, master_seed=seed)
-    elif which == "fig2":
-        specs = [xp.fig2_spec(trials=args.trials, master_seed=seed)]
-    elif which == "fig3":
-        specs = xp.fig3_specs(trials=args.trials, master_seed=seed)
-    else:
-        specs = xp.fig4_specs(trials=args.trials, master_seed=seed)
-    results = [xp.run_experiment(s, workers=args.workers) for s in specs]
-    xp.write_csv(results, args.out)
-    for res in results:
-        _report_result(res)
-    print(f"wrote {args.out}")
-    if args.dat:
-        for res in results:
-            ks = sorted({row.k for row in res.rows})
-            for k in ks:
-                path = f"{args.dat}.{res.spec.name}.k{k}.dat"
-                xp.write_dat(res, path, k=k)
+        for name, rows in by_name.items():
+            for k in sorted({row.k for row in rows}):
+                path = f"{args.dat}.{name}.k{k}.dat"
+                xp.write_dat(xp.ExperimentResult(rows=tuple(rows)), path, k=k)
                 print(f"wrote {path}")
     return 0
 
@@ -218,17 +204,17 @@ def main(argv=None) -> int:
         "threshold": _cmd_threshold,
         "sample": _cmd_sample,
         "analyze": _cmd_analyze,
-        "run": _cmd_run,
     }
     try:
-        if args.command in handlers:
-            return handlers[args.command](args)
-        return _cmd_fig(args, args.command)
+        return handlers.get(args.command, _cmd_sweep)(args)
     except (ValueError, IndexError) as exc:
         print(f"keygraph: invalid arguments: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"keygraph: {exc}", file=sys.stderr)
+        return 1
+    except BrokenExecutor as exc:
+        print(f"keygraph: a worker process died: {exc}", file=sys.stderr)
         return 1
 
 

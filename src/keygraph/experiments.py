@@ -2,13 +2,13 @@
 
 An experiment is declared as a base parameterization plus one sweep axis
 (smallest ring size under a profile rule, channel probability, target k, or
-deletion depth), a trial count, and a master seed.  A run is a list of
+deletion depth), a trial count, and a master seed.  A spec is a list of
 cells, each one set of seeded trials feeding one or more rows: one cell per
 sweep value, or a single cell for a depth sweep, whose depth d is the event
-kappa > d.  Every (cell, trial) task has a pre-assigned seed, so the tasks
-may run sequentially or in one process pool and the aggregated result is
-identical either way.  Failures in any trial abort the run -- there are no
-silent partial results.
+kappa > d.  A run takes one or more specs.  Every (cell, trial) task has a
+pre-assigned seed, so the tasks of all specs may run sequentially or in one
+process pool and the aggregated result is identical either way.  Failures
+in any trial abort the run -- there are no silent partial results.
 
 Per-trial work is kept proportional to what the rows record: rows whose
 targets stop at k <= 2 use the cheap connectivity checks, anything deeper
@@ -87,6 +87,8 @@ class ExperimentSpec:
             raise ValueError("sweep_values must be non-empty")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError("master_seed must lie in [0, 2^64)")
         if not self.k_list or any(int(k) != k or k < 1 for k in self.k_list):
             raise ValueError("k_list must hold positive integers")
         if self.sweep_kind == "K1":
@@ -121,7 +123,6 @@ class ExperimentRow:
     P: int
     alpha: float
     k: int
-    K: tuple
     K_profile: str
     sweep_value: object
     trials: int
@@ -140,7 +141,6 @@ class ExperimentRow:
 @dataclass(frozen=True)
 class ExperimentResult:
     rows: tuple
-    spec: Optional[ExperimentSpec] = None
 
 
 def _profile_label(spec: ExperimentSpec, params: ModelParams) -> str:
@@ -150,7 +150,7 @@ def _profile_label(spec: ExperimentSpec, params: ModelParams) -> str:
 
 
 def _cells(spec: ExperimentSpec) -> list:
-    """The run's cells as (params, cell master seed, targets, row keys).
+    """The spec's cells as (params, cell master seed, targets, row keys).
 
     A cell is one set of trials.  Row j of a cell is keyed (sweep value,
     k column) and counts the trials whose events reach ``targets[j]``.  A
@@ -192,35 +192,37 @@ def _evaluate_trial(job: tuple, trial: int) -> tuple:
 
 def _run_tasks(tasks: list, workers: int) -> list:
     """Per-trial stats in task order: a direct loop, or one process pool."""
-    if workers <= 1:
+    if workers <= 1 or not tasks:
         return [_evaluate_trial(job, trial) for job, trial in tasks]
     chunk = math.ceil(len(tasks) / (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_evaluate_trial, *zip(*tasks), chunksize=chunk))
 
 
-def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
-    """Execute a sweep; identical output for any worker count.
+def run_experiment(*specs: ExperimentSpec, workers: int = 1) -> ExperimentResult:
+    """Execute one or more sweeps; identical output for any worker count.
 
-    Every (cell, trial) task of the run goes through one evaluator, and one
-    process pool when ``workers`` (clamped to the core count) exceeds 1.
-    Any trial failure propagates as an exception; no partial result is
-    returned.
+    Every (cell, trial) task of every spec goes through one evaluator, and
+    one process pool when ``workers`` (clamped to the core count) exceeds 1.
+    Rows follow the specs in order, so the result equals the single-spec
+    runs concatenated.  Any trial failure propagates as an exception; no
+    partial result is returned.
     """
     workers = min(workers, os.cpu_count() or 1)
-    rec = spec.record
-    cells = _cells(spec)
+    cells = [(spec, *cell) for spec in specs for cell in _cells(spec)]
     tasks = []
-    for params, master, targets, _ in cells:
+    for spec, params, master, targets, _ in cells:
+        rec = spec.record
         need_kappa = rec.vertex_cut_curve or (rec.k_connectivity and max(targets) >= 3)
         job = (params, master, targets, need_kappa, rec.k_connectivity)
         tasks.extend((job, t) for t in range(spec.trials))
-    stats = _run_tasks(tasks, workers)
-    trials = spec.trials
-    thresholds = {}  # threshold_K1 per (alpha, k), the solver inputs a sweep varies
+    stats = iter(_run_tasks(tasks, workers))
+    # threshold_K1 per solver input: specs of one run may differ in n, P or mu
+    thresholds = {}
     rows = []
-    for i, (params, _, targets, keys) in enumerate(cells):
-        cell = stats[i * trials:(i + 1) * trials]
+    for spec, params, _, targets, keys in cells:
+        rec, trials = spec.record, spec.trials
+        cell = [next(stats) for _ in range(trials)]
         deltas = [s[0] for s in cell]
         kappas = [s[1] for s in cell]
         mean_delta = sum(deltas) / trials
@@ -234,16 +236,15 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
                 mismatch = sum(1 for s in cell if (s[0] >= t) != s[2][j])
             threshold_K1 = None
             if spec.rule is not None:
-                key = (params.alpha, k)
+                key = (params.n, params.P, params.mu, params.alpha, k, spec.rule)
                 if key not in thresholds:
-                    thresholds[key] = solve_threshold(params.n, params.P, params.mu,
-                                                      params.alpha, k, spec.rule).K1_min
+                    thresholds[key] = solve_threshold(*key).K1_min
                 threshold_K1 = thresholds[key]
             main_count = c_conn if rec.k_connectivity else c_deg
             rows.append(ExperimentRow(
                 experiment=spec.name,
                 n=params.n, P=params.P, alpha=params.alpha, k=k,
-                K=params.K, K_profile=label, sweep_value=value, trials=trials,
+                K_profile=label, sweep_value=value, trials=trials,
                 count_mindeg=c_deg if rec.min_degree else None,
                 count_kconn=c_conn,
                 prob_mindeg=c_deg / trials if rec.min_degree else None,
@@ -255,7 +256,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
                 threshold_K1=threshold_K1,
                 master_seed=spec.master_seed,
             ))
-    return ExperimentResult(rows=tuple(rows), spec=spec)
+    return ExperimentResult(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -323,16 +324,13 @@ def write_csv(result_or_results, path) -> None:
             ])
 
 
-def write_dat(result_or_results, path, k: Optional[int] = None) -> None:
+def write_dat(result_or_results, path, k: int) -> None:
     """Plot-ready whitespace table: sweep value, probability, ci half-width.
 
-    Picks rows for one k (default: the first k present); the probability is
-    the connectivity estimate when recorded, else the degree estimate.
+    Picks the rows for one k; the probability is the connectivity estimate
+    when recorded, else the degree estimate.
     """
-    rows = iter_rows(result_or_results)
-    if k is None and rows:
-        k = rows[0].k
-    rows = [r for r in rows if r.k == k]
+    rows = [r for r in iter_rows(result_or_results) if r.k == k]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# k={k} columns: sweep_value probability ci_half\n")
         for r in rows:

@@ -1,13 +1,19 @@
 """CLI surface: flags, exit codes, command round trips."""
 
 import copy
+import functools
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import keygraph.experiments as xp
 from keygraph.cli import main
+from test_experiments import counting_pool
 
 FIG4_ARGS = ["--trials", "2", "--seed", "5"]
 
@@ -49,11 +55,50 @@ class TestExitCodes:
         assert rc == 2
         assert "invalid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,seed", [
+        ("fig1", "-1"), ("fig3", "18446744073709551616"), ("fig4", "-1"),
+        ("fig4", "18446744073709551616")])
+    def test_out_of_range_seed_is_usage_error(self, capsys, tmp_path, command, seed):
+        rc = main([command, "--trials", "1", "--seed", seed,
+                   "--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2 and "master_seed" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_worker_death_is_runtime_error(self, capsys, tmp_path, monkeypatch):
+        fork = multiprocessing.get_context("fork")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(xp, "ProcessPoolExecutor",
+                            functools.partial(ProcessPoolExecutor, mp_context=fork))
+        monkeypatch.setattr(xp, "_evaluate_trial", _die)
+        rc = main(["fig4", *FIG4_ARGS, "--workers", "2",
+                   "--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "worker process died" in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
     def test_missing_spec_file_is_runtime_error(self, capsys, tmp_path):
         rc = main(["run", "--spec", str(tmp_path / "missing.json"),
                    "--out", str(tmp_path / "out.csv")])
         assert rc == 1
         assert "missing.json" in capsys.readouterr().err
+
+
+def _die(job, trial):
+    os._exit(3)
+
+
+def tiny_fig1(monkeypatch, alphas):
+    """Shrink ``fig1`` to two K1 values per alpha; the wiring is unchanged."""
+    orig = xp.fig1_specs
+
+    def tiny(trials=200, master_seed=0):
+        specs = orig(trials=trials, master_seed=master_seed, alphas=alphas)
+        return [spec.__class__(**{**spec.__dict__, "sweep_values": (20, 21)})
+                for spec in specs]
+
+    monkeypatch.setattr(xp, "fig1_specs", tiny)
 
 
 class TestSpecBoundary:
@@ -98,6 +143,16 @@ class TestSpecBoundary:
         rc = main(["run", "--spec", str(spec), "--out", str(tmp_path / "out.csv")])
         err = capsys.readouterr().err
         assert rc == 2 and key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_master_seed_exits_2(self, capsys, tmp_path, seed):
+        d = copy.deepcopy(VALID_SPEC)
+        d["master_seed"] = seed
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(d))
+        rc = main(["run", "--spec", str(spec), "--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2 and "master_seed" in err and "Traceback" not in err
 
 
 def corrupt_dump(lines, n, P, how, a, b):
@@ -239,18 +294,37 @@ class TestRunAndFigures:
         assert ",500,10000,0.4," in lines[1]
         assert "offsets:0,10" in lines[1]
 
+    def test_run_dat_prefix_writes_one_file_per_k(self, capsys, tmp_path):
+        d = copy.deepcopy(VALID_SPEC)
+        d["k_list"] = [1, 2]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(d))
+        prefix = tmp_path / "curve"
+        rc = main(["run", "--spec", str(spec), "--out", str(tmp_path / "out.csv"),
+                   "--dat", str(prefix)])
+        assert rc == 0
+        dats = sorted(p.name for p in tmp_path.glob("*.dat"))
+        assert dats == ["curve.cli-mini.k1.dat", "curve.cli-mini.k2.dat"]
+        for k in (1, 2):
+            lines = (tmp_path / f"curve.cli-mini.k{k}.dat").read_text().splitlines()
+            assert lines[0].startswith(f"# k={k} ")
+            assert [ln.split()[0] for ln in lines[1:]] == ["3", "4"]
+
+    def test_one_pool_per_figure(self, capsys, tmp_path, monkeypatch):
+        # two specs (one per alpha) run through one pool, not one pool each
+        tiny_fig1(monkeypatch, alphas=(0.4, 0.6))
+        a, b = tmp_path / "w1.csv", tmp_path / "w2.csv"
+        args = ["fig1", "--trials", "3", "--seed", "2"]
+        assert main([*args, "--workers", "1", "--out", str(a)]) == 0
+        made = counting_pool(monkeypatch, cores=2)
+        assert main([*args, "--workers", "2", "--out", str(b)]) == 0
+        assert made == [2]
+        assert a.read_bytes() == b.read_bytes()
+        assert len(a.read_text().splitlines()) == 1 + 4
+
     def test_fig1_reduced_run(self, capsys, tmp_path, monkeypatch):
-        import keygraph.experiments as xp
         # shrink the sweep for test runtime; the command wiring is unchanged
-        orig = xp.fig1_specs
-
-        def tiny(trials=200, master_seed=0, alphas=(0.2, 0.4, 0.6, 0.8)):
-            specs = orig(trials=trials, master_seed=master_seed, alphas=(0.6,))
-            return [spec.__class__(**{**spec.__dict__,
-                                      "sweep_values": (20, 21)})
-                    for spec in specs]
-
-        monkeypatch.setattr(xp, "fig1_specs", tiny)
+        tiny_fig1(monkeypatch, alphas=(0.6,))
         out = tmp_path / "fig1.csv"
         rc = main(["fig1", "--trials", "3", "--seed", "2", "--out", str(out),
                    "--dat", str(tmp_path / "fig1")])

@@ -81,6 +81,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             mini_spec(sweep_kind="depth", sweep_values=(40,), rule=None)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
+    def test_rejects_master_seed_outside_64_bits(self, seed):
+        # derive_master masks seeds to 64 bits, so 0 and 2^64 would draw
+        # the same trials under different recorded seeds
+        with pytest.raises(ValueError, match="master_seed"):
+            mini_spec(master_seed=seed)
+
+    def test_accepts_the_64_bit_seed_edges(self):
+        for seed in (0, 2**64 - 1):
+            assert mini_spec(master_seed=seed).master_seed == seed
+
 
 class TestRunExperiment:
     def test_forced_complete_graph(self):
@@ -123,6 +134,23 @@ class TestRunExperiment:
         write_csv(run_experiment(spec, workers=2), b)
         assert made == [2]  # one pool for three sweep values, not one each
         assert a.read_bytes() == b.read_bytes()
+
+    def test_specs_of_one_run_share_one_pool(self, monkeypatch):
+        # the specs differ in P only, so their thresholds differ at equal
+        # (alpha, k): the threshold cache must key on every solver input
+        a = mini_spec()
+        b = mini_spec(name="mini-P60", base=a.base.replace(P=60))
+        single = run_experiment(a).rows + run_experiment(b).rows
+        assert [r.threshold_K1 for r in single] == [3, 4, 3, 4, 4, 5, 4, 5]
+        assert run_experiment(a, b).rows == single
+        made = counting_pool(monkeypatch, cores=2)
+        assert run_experiment(a, b, workers=2).rows == single
+        assert made == [2]
+
+    def test_no_spec_is_an_empty_result(self, monkeypatch):
+        made = counting_pool(monkeypatch, cores=2)
+        assert run_experiment(workers=2).rows == ()
+        assert made == []
 
     def test_workers_clamped_to_core_count(self, monkeypatch):
         made = counting_pool(monkeypatch, cores=1)
@@ -432,3 +460,17 @@ class TestCannedStudies:
             assert s.k_list == (k,)
             assert s.sweep_values == tuple(range(0, k))
             assert s.record.vertex_cut_curve
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
+    # perfbench/spans.py patches names inside keygraph modules; a refactor
+    # that drops one of them must fail here, not only in a traced benchmark
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import spans
+    originals = [owner.__dict__[attr] for owner, attr, _, _ in spans.TARGETS]
+    with spans.Tracer() as tracer:
+        ex.run_experiment(mini_spec(sweep_values=(3,), trials=1))
+    assert [owner.__dict__[attr] for owner, attr, _, _ in spans.TARGETS] == originals
+    names = {rec[2] for rec in tracer.spans}
+    assert {"experiments.run_experiment", "sampler.sample_network",
+            "analysis.min_degree", "threshold.solve_threshold"} <= names
