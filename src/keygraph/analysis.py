@@ -88,13 +88,6 @@ class Graph:
         return self.m == self.n * (self.n - 1) // 2
 
 
-def as_graph(obj) -> Graph:
-    """Accept a Graph or anything with .graph() (e.g. a SampledNetwork)."""
-    if isinstance(obj, Graph):
-        return obj
-    return obj.graph()
-
-
 @dataclass(frozen=True)
 class ConnectivityReport:
     """Structural summary of one graph.
@@ -112,8 +105,7 @@ class ConnectivityReport:
     component_count: int
 
 
-def min_degree(g) -> int:
-    g = as_graph(g)
+def min_degree(g: Graph) -> int:
     return int(g.degrees.min())
 
 
@@ -122,15 +114,14 @@ def _adjacency(g: Graph) -> csr_matrix:
                       shape=(g.n, g.n))
 
 
-def component_count(g) -> int:
-    g = as_graph(g)
+def component_count(g: Graph) -> int:
     if g.n == 1:
         return 1
     count, _ = connected_components(_adjacency(g), directed=False)
     return int(count)
 
 
-def is_connected(g) -> bool:
+def is_connected(g: Graph) -> bool:
     return component_count(g) == 1
 
 
@@ -238,7 +229,7 @@ def _cut_from_flow(g: Graph, mat: csr_matrix, flow, src: int) -> np.ndarray:
     return np.flatnonzero(reach[0::2] & ~reach[1::2]).astype(np.int32)
 
 
-def vertex_connectivity(g) -> tuple:
+def vertex_connectivity(g: Graph) -> tuple:
     """Exact vertex connectivity and one minimum vertex cut.
 
     Returns ``(kappa, cut)`` where ``cut`` is a sorted node array: empty for
@@ -246,7 +237,6 @@ def vertex_connectivity(g) -> tuple:
     the cut recovered from the first source/sink pair attaining the minimum
     under the fixed enumeration order.
     """
-    g = as_graph(g)
     if g.n < 2:
         raise ValueError("vertex connectivity needs at least two nodes")
     empty = np.empty(0, dtype=np.int32)
@@ -307,14 +297,13 @@ def _is_biconnected(g: Graph) -> bool:
     return up.count(0) <= 1
 
 
-def is_k_connected(g, k: int) -> bool:
+def is_k_connected(g: Graph, k: int) -> bool:
     """True iff the vertex connectivity is at least k.
 
     Cheap refutations first (degree bound, then connectivity / biconnectivity
     for k <= 2); the pair enumeration runs only for k >= 3 and stops at the
     first local connectivity below k.
     """
-    g = as_graph(g)
     if g.n < 2:
         raise ValueError("k-connectivity needs at least two nodes")
     if k < 1:
@@ -335,9 +324,8 @@ def is_k_connected(g, k: int) -> bool:
     return all(local(src, dst) >= k for src, dst in _flow_pairs(g))
 
 
-def connectivity_report(g) -> ConnectivityReport:
+def connectivity_report(g: Graph) -> ConnectivityReport:
     """Full structural summary: degrees, connectivity, cut, components."""
-    g = as_graph(g)
     kappa, cut = vertex_connectivity(g)
     comps = component_count(g)
     return ConnectivityReport(

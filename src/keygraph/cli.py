@@ -182,10 +182,9 @@ def _cmd_sweep(args) -> int:
     by_name = {}
     for row in result.rows:
         by_name.setdefault(row.experiment, []).append(row)
-        mism = "" if row.mismatch_count is None else f" mismatches={row.mismatch_count}"
-        conn = "" if row.prob_kconn is None else f" P[conn>=k]={row.prob_kconn:.3f}"
-        print(f"  {row.experiment} value={row.sweep_value} k={row.k}{conn}"
-              f" +-{row.ci_half:.3f}{mism}")
+        print(f"  {row.experiment} value={row.sweep_value} k={row.k}"
+              f" P[conn>=k]={row.prob_kconn:.3f} +-{row.ci_half:.3f}"
+              f" mismatches={row.mismatch_count}")
     print(f"wrote {args.out}")
     if args.dat:
         for name, rows in by_name.items():

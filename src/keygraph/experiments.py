@@ -10,10 +10,11 @@ pre-assigned seed, so the tasks of all specs may run sequentially or in one
 process pool and the aggregated result is identical either way.  Failures
 in any trial abort the run -- there are no silent partial results.
 
-Per-trial work is kept proportional to what the rows record: rows whose
+Every trial records the minimum degree and the k-connectivity of each
+target k.  Per-trial work is kept proportional to the targets: cells whose
 targets stop at k <= 2 use the cheap connectivity checks, anything deeper
 computes exact vertex connectivity once and derives every per-k predicate
-from it, and no predicate is computed when connectivity is not recorded.
+from it.
 """
 
 from __future__ import annotations
@@ -52,10 +53,8 @@ def wilson_halfwidth(count: int, trials: int, z: float = _Z95) -> float:
 
 @dataclass(frozen=True)
 class RecordFlags:
-    """What to measure per trial."""
+    """What to measure per trial beyond the degree and connectivity events."""
 
-    min_degree: bool = True
-    k_connectivity: bool = True
     vertex_cut_curve: bool = False
 
 
@@ -107,6 +106,8 @@ class ExperimentSpec:
                 raise ValueError("depths must be integers in [0, n-2]")
             if not self.record.vertex_cut_curve:
                 raise ValueError("a depth sweep needs record.vertex_cut_curve")
+            if len(self.k_list) != 1:
+                raise ValueError("a depth sweep needs exactly one k in k_list")
 
 
 @dataclass(frozen=True)
@@ -126,14 +127,14 @@ class ExperimentRow:
     K_profile: str
     sweep_value: object
     trials: int
-    count_mindeg: Optional[int]
-    count_kconn: Optional[int]
-    prob_mindeg: Optional[float]
-    prob_kconn: Optional[float]
+    count_mindeg: int
+    count_kconn: int
+    prob_mindeg: float
+    prob_kconn: float
     ci_half: float
     mean_delta: float
     mean_kappa: Optional[float]
-    mismatch_count: Optional[int]
+    mismatch_count: int
     threshold_K1: Optional[int]
     master_seed: int
 
@@ -178,13 +179,11 @@ def _cells(spec: ExperimentSpec) -> list:
 
 
 def _evaluate_trial(job: tuple, trial: int) -> tuple:
-    """(delta, kappa or None, predicates kappa >= target or None) of a trial."""
-    params, master, targets, need_kappa, need_preds = job
+    """(delta, kappa or None, predicates kappa >= target) of a trial."""
+    params, master, targets, need_kappa = job
     g = sample_network(params, SeedSpec(master, trial)).graph()
     delta = min_degree(g)
     kappa = vertex_connectivity(g)[0] if need_kappa else None
-    if not need_preds:
-        return delta, kappa, None
     if kappa is not None:
         return delta, kappa, tuple(kappa >= t for t in targets)
     return delta, None, tuple(is_k_connected(g, t) for t in targets)
@@ -205,23 +204,24 @@ def run_experiment(*specs: ExperimentSpec, workers: int = 1) -> ExperimentResult
     Every (cell, trial) task of every spec goes through one evaluator, and
     one process pool when ``workers`` (clamped to the core count) exceeds 1.
     Rows follow the specs in order, so the result equals the single-spec
-    runs concatenated.  Any trial failure propagates as an exception; no
-    partial result is returned.
+    runs concatenated.  ``workers`` below 1 raises ValueError.  Any trial
+    failure propagates as an exception; no partial result is returned.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
     cells = [(spec, *cell) for spec in specs for cell in _cells(spec)]
     tasks = []
     for spec, params, master, targets, _ in cells:
-        rec = spec.record
-        need_kappa = rec.vertex_cut_curve or (rec.k_connectivity and max(targets) >= 3)
-        job = (params, master, targets, need_kappa, rec.k_connectivity)
-        tasks.extend((job, t) for t in range(spec.trials))
+        need_kappa = spec.record.vertex_cut_curve or max(targets) >= 3
+        tasks.extend(((params, master, targets, need_kappa), t)
+                     for t in range(spec.trials))
     stats = iter(_run_tasks(tasks, workers))
     # threshold_K1 per solver input: specs of one run may differ in n, P or mu
     thresholds = {}
     rows = []
     for spec, params, _, targets, keys in cells:
-        rec, trials = spec.record, spec.trials
+        trials = spec.trials
         cell = [next(stats) for _ in range(trials)]
         deltas = [s[0] for s in cell]
         kappas = [s[1] for s in cell]
@@ -230,29 +230,26 @@ def run_experiment(*specs: ExperimentSpec, workers: int = 1) -> ExperimentResult
         label = _profile_label(spec, params)
         for j, ((value, k), t) in enumerate(zip(keys, targets)):
             c_deg = sum(1 for d in deltas if d >= t)
-            c_conn = mismatch = None
-            if rec.k_connectivity:
-                c_conn = sum(1 for s in cell if s[2][j])
-                mismatch = sum(1 for s in cell if (s[0] >= t) != s[2][j])
+            c_conn = sum(1 for s in cell if s[2][j])
+            mismatch = sum(1 for s in cell if (s[0] >= t) != s[2][j])
             threshold_K1 = None
             if spec.rule is not None:
                 key = (params.n, params.P, params.mu, params.alpha, k, spec.rule)
                 if key not in thresholds:
                     thresholds[key] = solve_threshold(*key).K1_min
                 threshold_K1 = thresholds[key]
-            main_count = c_conn if rec.k_connectivity else c_deg
             rows.append(ExperimentRow(
                 experiment=spec.name,
                 n=params.n, P=params.P, alpha=params.alpha, k=k,
                 K_profile=label, sweep_value=value, trials=trials,
-                count_mindeg=c_deg if rec.min_degree else None,
+                count_mindeg=c_deg,
                 count_kconn=c_conn,
-                prob_mindeg=c_deg / trials if rec.min_degree else None,
-                prob_kconn=None if c_conn is None else c_conn / trials,
-                ci_half=wilson_halfwidth(main_count, trials),
+                prob_mindeg=c_deg / trials,
+                prob_kconn=c_conn / trials,
+                ci_half=wilson_halfwidth(c_conn, trials),
                 mean_delta=mean_delta,
                 mean_kappa=mean_kappa,
-                mismatch_count=mismatch if rec.min_degree else None,
+                mismatch_count=mismatch,
                 threshold_K1=threshold_K1,
                 master_seed=spec.master_seed,
             ))
@@ -290,9 +287,8 @@ def write_csv(result_or_results, path) -> None:
     """Write aggregated rows as UTF-8 CSV with a fixed header and row order.
 
     Row order follows the result(s): sweep order, then k order within a
-    sweep value.  The ci_half column belongs to prob_kconn when connectivity
-    was recorded, otherwise to prob_mindeg.  All formatting is fixed-width,
-    so identical results produce byte-identical files.
+    sweep value.  The ci_half column belongs to prob_kconn.  All formatting
+    is fixed-width, so identical results produce byte-identical files.
     """
     rows = iter_rows(result_or_results)
     try:
@@ -327,15 +323,13 @@ def write_csv(result_or_results, path) -> None:
 def write_dat(result_or_results, path, k: int) -> None:
     """Plot-ready whitespace table: sweep value, probability, ci half-width.
 
-    Picks the rows for one k; the probability is the connectivity estimate
-    when recorded, else the degree estimate.
+    Picks the rows for one k; the probability is the connectivity estimate.
     """
     rows = [r for r in iter_rows(result_or_results) if r.k == k]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# k={k} columns: sweep_value probability ci_half\n")
         for r in rows:
-            p = r.prob_kconn if r.prob_kconn is not None else r.prob_mindeg
-            fh.write(f"{_fmt_value(r.sweep_value)} {p:.6f} {r.ci_half:.6f}\n")
+            fh.write(f"{_fmt_value(r.sweep_value)} {r.prob_kconn:.6f} {r.ci_half:.6f}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +378,7 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     _check_keys(d, "experiment spec", {"name", "base", "sweep", "trials", "k_list",
                                        "master_seed", "record"},
                 ("name", "base", "sweep"))
-    base_d = _check_keys(d["base"], "base", {"n", "mu", "K", "P", "alpha", "normalize_mu"},
+    base_d = _check_keys(d["base"], "base", {"n", "mu", "K", "P", "alpha"},
                          ("n", "mu", "K", "P", "alpha"))
     _as_list(base_d["mu"], "base.mu")
     _as_list(base_d["K"], "base.K", integer=True)
@@ -403,8 +397,10 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
             rule = KeyProfileRule.fixed_tail(*values)
         else:
             raise ValueError(f"unknown rule kind {rule_d['kind']!r}")
-    record_d = _check_keys(d.get("record", {}), "record",
-                           {"min_degree", "k_connectivity", "vertex_cut_curve"})
+    record_d = _check_keys(d.get("record", {}), "record", {"vertex_cut_curve"})
+    cut_curve = record_d.get("vertex_cut_curve", False)
+    if not isinstance(cut_curve, bool):
+        raise ValueError(f"record.vertex_cut_curve must be true or false, got {cut_curve!r}")
     return ExperimentSpec(
         name=str(d["name"]),
         base=base,
@@ -415,7 +411,7 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
         k_list=tuple(int(k) for k in _as_list(d.get("k_list", [2]), "k_list",
                                               integer=True)),
         master_seed=int(_number(d.get("master_seed", 0), "master_seed", integer=True)),
-        record=RecordFlags(**{k: bool(v) for k, v in record_d.items()}),
+        record=RecordFlags(vertex_cut_curve=cut_curve),
     )
 
 

@@ -20,7 +20,7 @@ model (class 1 has the smallest key ring).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 MU_SUM_TOL = 1e-12
@@ -32,10 +32,8 @@ class ModelParams:
 
     Args:
         n: number of nodes (>= 2).
-        mu: class probabilities, all positive and finite.  Must sum to 1 within
-            ``MU_SUM_TOL`` unless ``normalize_mu=True``, in which case the
-            given positive weights are rescaled once and the rescaling is
-            recorded in ``mu_was_normalized``.
+        mu: class probabilities, all positive and finite, summing to 1
+            within ``MU_SUM_TOL``.
         K: per-class key ring sizes, positive and non-decreasing
            (class 1 is the smallest ring by convention), with K[-1] <= P.
         P: key pool size.
@@ -48,9 +46,8 @@ class ModelParams:
     K: tuple
     P: int
     alpha: float
-    mu_was_normalized: bool = field(default=False, compare=False)
 
-    def __init__(self, n, mu, K, P, alpha, normalize_mu: bool = False):
+    def __init__(self, n, mu, K, P, alpha):
         mu = tuple(float(m) for m in mu)
         K = tuple(int(k) for k in K)
         if int(n) != n or n < 2:
@@ -62,11 +59,7 @@ class ModelParams:
         if not all(math.isfinite(m) and m > 0 for m in mu):
             raise ValueError("every class probability must be positive and finite")
         total = math.fsum(mu)
-        normalized = False
-        if normalize_mu:
-            mu = tuple(m / total for m in mu)
-            normalized = abs(total - 1.0) > MU_SUM_TOL
-        elif abs(total - 1.0) > MU_SUM_TOL:
+        if abs(total - 1.0) > MU_SUM_TOL:
             raise ValueError(f"class probabilities sum to {total!r}, not 1")
         if any(k < 1 for k in K):
             raise ValueError("every key ring size must be a positive integer")
@@ -82,7 +75,6 @@ class ModelParams:
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "P", int(P))
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "mu_was_normalized", normalized)
 
     @property
     def r(self) -> int:

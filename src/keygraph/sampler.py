@@ -25,7 +25,6 @@ per-node, per-row, per-pair loops over the same stream, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -48,9 +47,7 @@ class SampledNetwork:
     ``classes`` holds 1-based class labels per node.  Key rings are stored
     flat (``ring_data`` sliced by ``ring_indptr``) and exposed per node via
     :meth:`ring`.  ``edges`` is the secure-link edge set, one row per
-    unordered pair (u < v), lexicographically sorted.  When the sample was
-    drawn with ``retain_factors=True``, the two factor edge sets (key
-    sharing alone / channel alone) are kept as well.
+    unordered pair (u < v), lexicographically sorted.
     """
 
     params: ModelParams
@@ -58,9 +55,6 @@ class SampledNetwork:
     ring_data: np.ndarray
     ring_indptr: np.ndarray
     edges: np.ndarray
-    edges_key: Optional[np.ndarray] = None
-    edges_channel: Optional[np.ndarray] = None
-    seed: Optional[SeedSpec] = None
     _graph: object = field(default=None, repr=False, compare=False)
 
     @property
@@ -136,14 +130,8 @@ def _key_sharing_pairs(n: int, ring_data: np.ndarray, ring_node: np.ndarray) -> 
     return np.stack([uniq // n, uniq % n], axis=1)
 
 
-def sample_network(params: ModelParams, seed: SeedSpec, *,
-                   retain_factors: bool = False) -> SampledNetwork:
-    """Draw one network realization, fully determined by (params, seed).
-
-    With ``retain_factors=True`` the key-sharing edge set and the channel-on
-    edge set are stored alongside the secure-link edges (memory grows with
-    alpha * n^2; intended for inspection and tests).
-    """
+def sample_network(params: ModelParams, seed: SeedSpec) -> SampledNetwork:
+    """Draw one network realization, fully determined by (params, seed)."""
     rng = seed.stream()
     n, P, alpha, r = params.n, params.P, params.alpha, params.r
 
@@ -168,7 +156,6 @@ def sample_network(params: ModelParams, seed: SeedSpec, *,
     start = start * (2 * n - start - 1) // 2
     flat = start[shared[:, 0]] + shared[:, 1] - shared[:, 0] - 1
     on = np.empty(flat.size, dtype=bool)
-    channel = []
     x0 = 0
     while x0 < n - 1:
         # Rows [x0, x1): at most _CHANNEL_CHUNK uniforms, or a single long row.
@@ -178,24 +165,15 @@ def sample_network(params: ModelParams, seed: SeedSpec, *,
         u = rng.random(int(start[x1] - lo))
         a, b = np.searchsorted(flat, (lo, start[x1]))
         on[a:b] = u[flat[a:b] - lo] < alpha
-        if retain_factors:
-            channel.append(lo + np.flatnonzero(u < alpha))
         x0 = x1
 
-    net = SampledNetwork(
+    return SampledNetwork(
         params=params,
         classes=(cls0 + 1).astype(np.int16),
         ring_data=ring_data,
         ring_indptr=indptr,
         edges=shared[on].astype(np.int32),
-        seed=seed,
     )
-    if retain_factors:
-        idx = np.concatenate(channel) if channel else np.empty(0, dtype=np.int64)
-        xs = np.searchsorted(start, idx, "right") - 1
-        net.edges_key = shared.astype(np.int32)
-        net.edges_channel = np.stack([xs, idx - start[xs] + xs + 1], axis=1).astype(np.int32)
-    return net
 
 
 def write_network(net: SampledNetwork, path) -> None:
@@ -221,7 +199,7 @@ def write_network(net: SampledNetwork, path) -> None:
 
 
 def read_network(path) -> SampledNetwork:
-    """Load a sample written by :func:`write_network` (factor sets are not stored).
+    """Load a sample written by :func:`write_network`.
 
     Everything the format fixes is checked: the header is a valid parameter
     set; each node line has a class label in 1..r and a ring of K[class]

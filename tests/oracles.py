@@ -137,6 +137,23 @@ def naive_intersects(a, b) -> bool:
     return any(x == y for x in a for y in b)
 
 
+def factor_pairs(rng, rings, alpha: float) -> tuple:
+    """The two factor edge sets of a sample, rebuilt from its rings and seed.
+
+    ``rng`` is a fresh stream of the sample's seed (a numpy Generator).  It
+    skips one uniform per node (the class) and one per key (the rings), then
+    replays the channel one row at a time.  Returns the key-sharing pairs, a
+    set found by scanning every pair of rings, and the channel-on pairs, a
+    row-major list.
+    """
+    n = len(rings)
+    rng.random(n)
+    rng.random(sum(len(ring) for ring in rings))
+    key = {(x, y) for x, y in combinations(range(n), 2)
+           if naive_intersects(rings[x], rings[y])}
+    return key, per_row_channel_pairs(rng, n, alpha)
+
+
 def _adjacency(n: int, edges) -> dict:
     adj = {v: set() for v in range(n)}
     for u, v in edges:

@@ -20,7 +20,7 @@ from keygraph import (ExperimentSpec, KeyProfileRule, ModelParams, SeedSpec,
 from keygraph.experiments import fig4_specs
 from oracles import (binomial_ratio_share_prob, brute_vertex_connectivity,
                      connected_after_removal, enumerate_share_prob,
-                     low_degree_expectation)
+                     factor_pairs, low_degree_expectation)
 
 ACCEPT_SEED = 0  # registered up front; never tuned against outcomes
 WORKERS = min(4, os.cpu_count() or 1)
@@ -228,15 +228,16 @@ def test_criterion_7_invariant_suite(tmp_path):
                 order_viol += 1
             if not all(a <= b + 1e-12 for a, b in zip(caps, caps[1:])):
                 order_viol += 1
-    # (c) secure links sit inside both factor graphs
+    # (c) secure links are exactly the pairs in both factor graphs
     contain_viol = 0
+    p_factor = ModelParams(n=80, mu=(0.5, 0.5), K=(3, 6), P=50, alpha=0.5)
     for t in range(10):
-        net = sample_network(
-            ModelParams(n=80, mu=(0.5, 0.5), K=(3, 6), P=50, alpha=0.5),
-            SeedSpec(ACCEPT_SEED + 70, t), retain_factors=True)
-        inter = set(map(tuple, net.edges.tolist()))
-        if not (inter <= set(map(tuple, net.edges_key.tolist()))
-                and inter <= set(map(tuple, net.edges_channel.tolist()))):
+        seed = SeedSpec(ACCEPT_SEED + 70, t)
+        net = sample_network(p_factor, seed)
+        key, channel = factor_pairs(seed.stream(),
+                                    [net.ring(x).tolist() for x in range(net.n)],
+                                    p_factor.alpha)
+        if set(map(tuple, net.edges.tolist())) != key & set(channel):
             contain_viol += 1
     # (d) worker count never changes the bytes of the output
     base = ModelParams(n=40, mu=(0.5, 0.5), K=(3, 5), P=50, alpha=0.5)

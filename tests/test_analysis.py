@@ -373,7 +373,7 @@ class TestReport:
     def test_kappa_never_exceeds_min_degree_on_samples(self):
         p = ModelParams(n=40, mu=(0.5, 0.5), K=(3, 5), P=100, alpha=0.6)
         for t in range(25):
-            rep = connectivity_report(sample_network(p, SeedSpec(31337, t)))
+            rep = connectivity_report(sample_network(p, SeedSpec(31337, t)).graph())
             assert rep.vertex_connectivity <= rep.min_degree
             assert rep.is_connected == (rep.component_count == 1)
             assert rep.is_connected == (rep.vertex_connectivity >= 1)

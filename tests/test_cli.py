@@ -78,6 +78,18 @@ class TestExitCodes:
         assert "worker process died" in err and "Traceback" not in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command,workers", [
+        ("fig1", "-3"), ("fig4", "0"), ("run", "0"), ("run", "-1")])
+    def test_workers_below_one_is_usage_error(self, capsys, tmp_path, command, workers):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(VALID_SPEC))
+        source = ["--spec", str(spec)] if command == "run" else ["--trials", "1"]
+        rc = main([command, *source, "--workers", workers,
+                   "--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2 and "workers" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "out.csv").exists()
+
     def test_missing_spec_file_is_runtime_error(self, capsys, tmp_path):
         rc = main(["run", "--spec", str(tmp_path / "missing.json"),
                    "--out", str(tmp_path / "out.csv")])
@@ -133,16 +145,32 @@ class TestSpecBoundary:
 
     @pytest.mark.parametrize("key,value", [
         ("trials", [1]), ("K", [[3], 5]), ("k_list", [[2]]), ("alpha", "0.5"),
-        ("trials", 2.5), ("values", [3, float("inf")])])
+        ("trials", 2.5), ("values", [3, float("inf")]),
+        ("vertex_cut_curve", "no"), ("vertex_cut_curve", 1),
+        # keys of options that no longer exist
+        ("min_degree", True), ("k_connectivity", True), ("normalize_mu", False)])
     def test_reported_type_errors_exit_2(self, capsys, tmp_path, key, value):
         d = copy.deepcopy(VALID_SPEC)
-        owner = {"K": d["base"], "alpha": d["base"], "values": d["sweep"]}.get(key, d)
+        record = d.setdefault("record", {})
+        owner = {"K": d["base"], "alpha": d["base"], "normalize_mu": d["base"],
+                 "values": d["sweep"], "vertex_cut_curve": record,
+                 "min_degree": record, "k_connectivity": record}.get(key, d)
         owner[key] = value
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(d))
         rc = main(["run", "--spec", str(spec), "--out", str(tmp_path / "out.csv")])
         err = capsys.readouterr().err
         assert rc == 2 and key in err and "Traceback" not in err
+
+    def test_depth_sweep_with_two_ks_exits_2(self, capsys, tmp_path):
+        d = copy.deepcopy(VALID_SPEC)
+        d.update(sweep={"kind": "depth", "values": [0, 1]}, k_list=[3, 9],
+                 record={"vertex_cut_curve": True})
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(d))
+        rc = main(["run", "--spec", str(spec), "--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2 and "k_list" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_out_of_range_master_seed_exits_2(self, capsys, tmp_path, seed):

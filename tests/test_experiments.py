@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 import keygraph.experiments as ex
 from keygraph import (ExperimentResult, ExperimentSpec, KeyProfileRule,
                       ModelParams, RecordFlags, SeedSpec, is_connected,
-                      load_spec, min_degree, run_experiment, sample_network,
+                      load_spec, run_experiment, sample_network,
                       vertex_connectivity, wilson_halfwidth, write_csv,
                       write_dat)
 from keygraph.experiments import (CSV_COLUMNS, fig1_specs, fig2_spec,
@@ -39,10 +40,10 @@ def mini_spec(**kw):
 
 
 def deletion_spec(depths=(0, 1, 2), trials=12,
-                  record=RecordFlags(vertex_cut_curve=True)):
+                  record=RecordFlags(vertex_cut_curve=True), k_list=(3,)):
     base = ModelParams(n=24, mu=(0.5, 0.5), K=(3, 5), P=30, alpha=0.6)
     return ExperimentSpec(name="del", base=base, sweep_kind="depth",
-                          sweep_values=depths, trials=trials, k_list=(3,),
+                          sweep_values=depths, trials=trials, k_list=k_list,
                           master_seed=11, record=record)
 
 
@@ -87,6 +88,13 @@ class TestSpecValidation:
         # the same trials under different recorded seeds
         with pytest.raises(ValueError, match="master_seed"):
             mini_spec(master_seed=seed)
+
+    @pytest.mark.parametrize("k_list", [(3, 9), (3, 3)])
+    def test_depth_sweep_needs_exactly_one_k(self, k_list):
+        # a depth sweep draws one cell for one design k; a second k would
+        # be dropped without a row
+        with pytest.raises(ValueError, match="k_list"):
+            deletion_spec(k_list=k_list)
 
     def test_accepts_the_64_bit_seed_edges(self):
         for seed in (0, 2**64 - 1):
@@ -157,29 +165,6 @@ class TestRunExperiment:
         rows = run_experiment(mini_spec(), workers=2).rows
         assert made == []
         assert rows == run_experiment(mini_spec(), workers=1).rows
-
-    def test_unrecorded_connectivity_runs_no_predicate(self, monkeypatch):
-        # a k = 5 sweep that records only the degree event makes no
-        # k-connectivity call; its rows hold the degree counts alone
-        calls = []
-        check = ex.is_k_connected
-        monkeypatch.setattr(ex, "is_k_connected",
-                            lambda *a: calls.append(a) or check(*a))
-        base = ModelParams(n=30, mu=(0.5, 0.5), K=(4, 6), P=40, alpha=0.8)
-        spec = ExperimentSpec(name="deg", base=base, sweep_kind="k",
-                              sweep_values=(5,), trials=3, master_seed=2,
-                              record=RecordFlags(k_connectivity=False))
-        row = run_experiment(spec).rows[0]
-        assert calls == []
-        master = derive_master(spec.master_seed, 0)
-        deltas = [min_degree(sample_network(base, SeedSpec(master, t)).graph())
-                  for t in range(spec.trials)]
-        count = sum(d >= 5 for d in deltas)
-        assert (row.count_mindeg, row.prob_mindeg) == (count, count / 3)
-        assert row.mean_delta == sum(deltas) / 3
-        assert row.ci_half == wilson_halfwidth(count, 3)
-        assert row.count_kconn is None and row.prob_kconn is None
-        assert row.mismatch_count is None and row.mean_kappa is None
 
     def test_deep_k_records_exact_connectivity(self):
         res = run_experiment(mini_spec(k_list=(1, 3)))
@@ -289,21 +274,6 @@ class TestDeletionExperiment:
         probs = [r.prob_kconn for r in res.rows]
         assert all(a >= b for a, b in zip(probs, probs[1:]))
 
-    def test_depth_sweep_honours_record_flags(self, tmp_path):
-        import csv as csvmod
-        full = run_experiment(deletion_spec()).rows
-        flags = RecordFlags(min_degree=False, vertex_cut_curve=True)
-        rows = run_experiment(deletion_spec(record=flags)).rows
-        path = tmp_path / "del.csv"
-        write_csv(ExperimentResult(rows=rows), path)
-        for a, b in zip(full, rows):
-            assert b.count_mindeg is None and b.prob_mindeg is None
-            assert b.mismatch_count is None
-            assert (b.count_kconn, b.ci_half, b.mean_kappa) == (
-                a.count_kconn, a.ci_half, a.mean_kappa)
-        with open(path) as fh:
-            assert all(r["count_mindeg"] == "" for r in csvmod.DictReader(fh))
-
 
 class TestWilson:
     def test_halfwidth_at_extremes(self):
@@ -394,8 +364,7 @@ class TestJsonSpecs:
             "trials": 5,
             "k_list": [2],
             "master_seed": 3,
-            "record": {"min_degree": True, "k_connectivity": True,
-                       "vertex_cut_curve": False},
+            "record": {"vertex_cut_curve": False},
         }
 
     def test_load_round_trip(self, tmp_path):
@@ -415,10 +384,28 @@ class TestJsonSpecs:
             spec_from_dict(d)
 
     def test_unknown_nested_key_rejected(self):
+        # the last three are keys of options that no longer exist
+        for owner, key in (("base", "pool"), ("record", "min_degree"),
+                           ("record", "k_connectivity"), ("base", "normalize_mu")):
+            d = self.spec_dict()
+            d[owner][key] = True
+            with pytest.raises(ValueError, match=key):
+                spec_from_dict(d)
+
+    @pytest.mark.parametrize("value", ["no", "false", 0, 1, None, [True]])
+    def test_record_flag_must_be_a_boolean(self, value):
         d = self.spec_dict()
-        d["base"]["pool"] = 1
-        with pytest.raises(ValueError, match="pool"):
+        d["record"]["vertex_cut_curve"] = value
+        with pytest.raises(ValueError, match="vertex_cut_curve"):
             spec_from_dict(d)
+
+    def test_readme_spec_example_loads(self):
+        # the documented spec format must stay loadable as written
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+        assert len(blocks) == 1
+        spec = spec_from_dict(json.loads(blocks[0]))
+        assert spec.sweep_kind == "K1" and spec.rule is not None
 
     def test_unknown_rule_kind_rejected(self):
         d = self.spec_dict()

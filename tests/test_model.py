@@ -23,21 +23,19 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             ModelParams(n=10, mu=(0.5, 0.4), K=(2, 3), P=10, alpha=0.5)
 
-    def test_mu_weights_normalized_on_request(self):
-        p = ModelParams(n=10, mu=(1, 3), K=(2, 3), P=10, alpha=0.5,
-                        normalize_mu=True)
-        assert p.mu == (0.25, 0.75)
-        assert p.mu_was_normalized
-
-    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("via_replace", [False, True])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_mu(self, bad, normalize):
+    def test_rejects_non_finite_mu(self, bad, via_replace):
+        def build(mu, K):
+            if via_replace:
+                valid = ModelParams(n=10, mu=(1.0,), K=(2,), P=10, alpha=0.5)
+                return valid.replace(mu=mu, K=K)
+            return ModelParams(n=10, mu=mu, K=K, P=10, alpha=0.5)
+
         with pytest.raises(ValueError):
-            ModelParams(n=10, mu=(0.5, bad), K=(2, 3), P=10, alpha=0.5,
-                        normalize_mu=normalize)
+            build((0.5, bad), (2, 3))
         with pytest.raises(ValueError):
-            ModelParams(n=10, mu=(bad,), K=(2,), P=10, alpha=0.5,
-                        normalize_mu=normalize)
+            build((bad,), (2,))
 
     def test_rejects_decreasing_rings(self):
         with pytest.raises(ValueError):
@@ -149,7 +147,8 @@ class TestMeanEdgeProb:
         P = data.draw(st.integers(4, 50))
         K = sorted(data.draw(st.lists(st.integers(1, P), min_size=r, max_size=r)))
         weights = data.draw(st.lists(st.floats(0.05, 1.0), min_size=r, max_size=r))
-        p = ModelParams(n=10, mu=weights, K=K, P=P, alpha=0.6, normalize_mu=True)
+        total = math.fsum(weights)
+        p = ModelParams(n=10, mu=[w / total for w in weights], K=K, P=P, alpha=0.6)
         lams = [mean_edge_prob_key(p, i) for i in range(1, r + 1)]
         caps = [mean_edge_prob(p, i) for i in range(1, r + 1)]
         assert all(a <= b + 1e-12 for a, b in zip(lams, lams[1:]))

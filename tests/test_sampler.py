@@ -1,6 +1,5 @@
 """Sampler distribution checks, determinism, and dump-format round trips."""
 
-import itertools
 import math
 from pathlib import Path
 
@@ -12,7 +11,8 @@ import keygraph.sampler
 from keygraph import (ModelParams, SeedSpec, edge_prob_key, read_network,
                       sample_network, write_network)
 from keygraph.sampler import _draw_rings, _key_sharing_pairs
-from oracles import floyd_ring, naive_intersects, per_row_channel_pairs
+from oracles import (factor_pairs, floyd_ring, naive_intersects,
+                     per_row_channel_pairs)
 
 DATA = Path(__file__).parent / "data"
 
@@ -21,6 +21,10 @@ def small_params(**kw):
     base = dict(n=50, mu=(0.5, 0.5), K=(2, 3), P=10, alpha=0.5)
     base.update(kw)
     return ModelParams(**base)
+
+
+def rings(net) -> list:
+    return [net.ring(x).tolist() for x in range(net.n)]
 
 
 def intersect_rings(a, b) -> bool:
@@ -60,18 +64,10 @@ def test_every_exported_name_resolves(module):
 class TestDeterminism:
     def test_identical_seed_identical_network(self):
         p = ModelParams(n=80, mu=(0.3, 0.7), K=(4, 6), P=200, alpha=0.5)
-        a = sample_network(p, SeedSpec(987, 3), retain_factors=True)
-        b = sample_network(p, SeedSpec(987, 3), retain_factors=True)
+        a = sample_network(p, SeedSpec(987, 3))
+        b = sample_network(p, SeedSpec(987, 3))
         assert np.array_equal(a.classes, b.classes)
         assert np.array_equal(a.ring_data, b.ring_data)
-        assert np.array_equal(a.edges, b.edges)
-        assert np.array_equal(a.edges_key, b.edges_key)
-        assert np.array_equal(a.edges_channel, b.edges_channel)
-
-    def test_retain_flag_does_not_change_edges(self):
-        p = small_params()
-        a = sample_network(p, SeedSpec(5, 0))
-        b = sample_network(p, SeedSpec(5, 0), retain_factors=True)
         assert np.array_equal(a.edges, b.edges)
 
     def test_distinct_trials_differ(self):
@@ -101,24 +97,21 @@ class TestStructure:
 
     def test_intersection_contained_in_both_factors(self):
         p = ModelParams(n=120, mu=(0.5, 0.5), K=(3, 5), P=60, alpha=0.4)
-        net = sample_network(p, SeedSpec(21), retain_factors=True)
+        seed = SeedSpec(21)
+        net = sample_network(p, seed)
+        key, channel = factor_pairs(seed.stream(), rings(net), p.alpha)
         inter = set(map(tuple, net.edges.tolist()))
-        assert inter <= set(map(tuple, net.edges_key.tolist()))
-        assert inter <= set(map(tuple, net.edges_channel.tolist()))
+        assert inter <= key
+        assert inter <= set(channel)
         # and the intersection is exactly the AND of the factors
-        both = (set(map(tuple, net.edges_key.tolist()))
-                & set(map(tuple, net.edges_channel.tolist())))
-        assert inter == both
+        assert inter == key & set(channel)
 
     def test_key_edges_match_pairwise_ring_checks(self):
         p = ModelParams(n=40, mu=(1.0,), K=(3,), P=30, alpha=0.9)
-        net = sample_network(p, SeedSpec(8), retain_factors=True)
-        expect = {
-            (x, y)
-            for x, y in itertools.combinations(range(net.n), 2)
-            if naive_intersects(net.ring(x), net.ring(y))
-        }
-        assert set(map(tuple, net.edges_key.tolist())) == expect
+        seed = SeedSpec(8)
+        net = sample_network(p, seed)
+        key, channel = factor_pairs(seed.stream(), rings(net), p.alpha)
+        assert net.edges.tolist() == [list(e) for e in channel if e in key]
 
     def test_near_zero_alpha_gives_empty_graph(self):
         net = sample_network(small_params(n=50, alpha=1e-12), SeedSpec(1))
@@ -221,7 +214,7 @@ class TestBatchedDraws:
             monkeypatch.setattr(keygraph.sampler, "_CHANNEL_CHUNK", chunk)
         p = ModelParams(n=n, mu=(0.2, 0.3, 0.5), K=K, P=P, alpha=alpha)
         seed = SeedSpec(4321, 2)
-        net = sample_network(p, seed, retain_factors=True)
+        net = sample_network(p, seed)
         rng = seed.stream()
         rng.random(n)  # class labels
         u = rng.random(int(net.ring_indptr[-1]))
@@ -229,9 +222,9 @@ class TestBatchedDraws:
             lo, hi = net.ring_indptr[x], net.ring_indptr[x + 1]
             assert net.ring(x).tolist() == floyd_ring(u[lo:hi], P)
         channel = per_row_channel_pairs(rng, n, alpha)
-        assert net.edges_channel.tolist() == [list(e) for e in channel]
-        key = set(map(tuple, net.edges_key.tolist()))
-        assert net.edges.tolist() == [list(e) for e in channel if e in key]
+        ring = rings(net)
+        assert net.edges.tolist() == [[x, y] for x, y in channel
+                                      if naive_intersects(ring[x], ring[y])]
 
 
 class TestDumpFormat:
