@@ -17,7 +17,6 @@ distinct graphs is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -86,23 +85,6 @@ class Graph:
 
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
-
-
-@dataclass(frozen=True)
-class ConnectivityReport:
-    """Structural summary of one graph.
-
-    ``min_vertex_cut`` is empty when the graph is disconnected (nothing to
-    cut) or complete (no vertex cut exists; connectivity is n-1 by
-    convention).  Otherwise removing the cut disconnects the graph and its
-    size equals ``vertex_connectivity``.
-    """
-
-    min_degree: int
-    vertex_connectivity: int
-    min_vertex_cut: tuple
-    is_connected: bool
-    component_count: int
 
 
 def min_degree(g: Graph) -> int:
@@ -300,9 +282,10 @@ def _is_biconnected(g: Graph) -> bool:
 def is_k_connected(g: Graph, k: int) -> bool:
     """True iff the vertex connectivity is at least k.
 
-    Cheap refutations first (degree bound, then connectivity / biconnectivity
-    for k <= 2); the pair enumeration runs only for k >= 3 and stops at the
-    first local connectivity below k.
+    Cheap refutations first (degree bound, then connectivity for k = 1 and
+    biconnectivity, which rejects a disconnected graph itself, for k = 2);
+    the pair enumeration runs only for k >= 3 and stops at the first local
+    connectivity below k.
     """
     if g.n < 2:
         raise ValueError("k-connectivity needs at least two nodes")
@@ -314,24 +297,12 @@ def is_k_connected(g: Graph, k: int) -> bool:
         return False
     if k == 1:
         return is_connected(g)
-    if not is_connected(g):
-        return False
     if k == 2:
         return _is_biconnected(g)
+    if not is_connected(g):
+        return False
     if g.is_complete():
         return True
     local = _LocalConnectivity(g)
     return all(local(src, dst) >= k for src, dst in _flow_pairs(g))
 
-
-def connectivity_report(g: Graph) -> ConnectivityReport:
-    """Full structural summary: degrees, connectivity, cut, components."""
-    kappa, cut = vertex_connectivity(g)
-    comps = component_count(g)
-    return ConnectivityReport(
-        min_degree=min_degree(g),
-        vertex_connectivity=kappa,
-        min_vertex_cut=tuple(int(v) for v in cut),
-        is_connected=comps == 1,
-        component_count=comps,
-    )

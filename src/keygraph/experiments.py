@@ -62,11 +62,13 @@ class RecordFlags:
 class ExperimentSpec:
     """Declarative description of one sweep.
 
-    ``sweep_kind`` is one of "K1" (smallest ring size, needs ``rule``),
-    "alpha", "k", or "depth" (deletion depths over a fixed design).  For a
-    "k" sweep the swept value replaces ``k_list``; for a "depth" sweep
-    ``k_list`` holds the single design k the depths refer to, and
-    ``record.vertex_cut_curve`` must be set.
+    ``name`` is a non-empty string with no "/" or NUL, as it names
+    ``--dat`` files.  ``sweep_kind`` is one of "K1" (smallest ring size,
+    needs ``rule``), "alpha", "k", or "depth" (deletion depths over a fixed
+    design).  A "k" sweep takes its targets from the swept values and
+    leaves ``k_list`` unset (None); every other sweep defaults it to (2,).
+    For a "depth" sweep ``k_list`` holds the single design k the depths
+    refer to, and ``record.vertex_cut_curve`` must be set.
     """
 
     name: str
@@ -75,11 +77,15 @@ class ExperimentSpec:
     sweep_values: tuple
     rule: Optional[KeyProfileRule] = None
     trials: int = 200
-    k_list: tuple = (2,)
+    k_list: Optional[tuple] = None
     master_seed: int = 0
     record: RecordFlags = field(default_factory=RecordFlags)
 
     def __post_init__(self):
+        if not isinstance(self.name, str) or not self.name or \
+                "/" in self.name or "\0" in self.name:
+            raise ValueError(f"name must be a non-empty string without '/' or "
+                             f"NUL, got {self.name!r}")
         if self.sweep_kind not in ("K1", "alpha", "k", "depth"):
             raise ValueError(f"unknown sweep kind {self.sweep_kind!r}")
         if not self.sweep_values:
@@ -88,7 +94,13 @@ class ExperimentSpec:
             raise ValueError("trials must be at least 1")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must lie in [0, 2^64)")
-        if not self.k_list or any(int(k) != k or k < 1 for k in self.k_list):
+        if self.sweep_kind == "k":
+            if self.k_list is not None:
+                raise ValueError("a k sweep takes its k values from the sweep; "
+                                 "leave k_list unset")
+        elif self.k_list is None:
+            object.__setattr__(self, "k_list", (2,))
+        elif not self.k_list or any(int(k) != k or k < 1 for k in self.k_list):
             raise ValueError("k_list must hold positive integers")
         if self.sweep_kind == "K1":
             if self.rule is None:
@@ -165,13 +177,11 @@ def _cells(spec: ExperimentSpec) -> list:
                  tuple(d + 1 for d in depths), [(d, k) for d in depths])]
     cells = []
     for i, value in enumerate(spec.sweep_values):
-        params, k_list = spec.base, spec.k_list
+        params, k_list = spec.base, spec.k_list or (value,)
         if spec.sweep_kind == "K1":
             params = spec.base.replace(K=spec.rule.ring_sizes(int(value)))
         elif spec.sweep_kind == "alpha":
             params = spec.base.replace(alpha=float(value))
-        else:
-            k_list = (value,)
         targets = tuple(int(k) for k in k_list)
         cells.append((params, derive_master(spec.master_seed, i), targets,
                       [(value, k) for k in targets]))
@@ -402,14 +412,14 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     if not isinstance(cut_curve, bool):
         raise ValueError(f"record.vertex_cut_curve must be true or false, got {cut_curve!r}")
     return ExperimentSpec(
-        name=str(d["name"]),
+        name=d["name"],
         base=base,
         sweep_kind=str(sweep["kind"]),
         sweep_values=tuple(_as_list(sweep["values"], "sweep.values")),
         rule=rule,
         trials=int(_number(d.get("trials", 200), "trials", integer=True)),
-        k_list=tuple(int(k) for k in _as_list(d.get("k_list", [2]), "k_list",
-                                              integer=True)),
+        k_list=tuple(int(k) for k in _as_list(d["k_list"], "k_list", integer=True))
+        if "k_list" in d else None,
         master_seed=int(_number(d.get("master_seed", 0), "master_seed", integer=True)),
         record=RecordFlags(vertex_cut_curve=cut_curve),
     )
@@ -476,7 +486,7 @@ def fig4_specs(trials: int = 200, master_seed: int = 0,
     specs = []
     for k in design_ks:
         sol = solve_threshold(_BASE_N, _BASE_P, _BASE_MU, 0.4, k, _STEP10)
-        if not sol.satisfied:
+        if sol.K1_min is None:
             raise ValueError(f"no admissible design for k={k}")
         base = ModelParams(n=_BASE_N, mu=_BASE_MU,
                            K=_STEP10.ring_sizes(sol.K1_min), P=_BASE_P, alpha=0.4)

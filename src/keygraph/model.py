@@ -8,10 +8,10 @@ with probability ``alpha``.  Two nodes can talk securely iff they share a key
 
 Everything in this module is deterministic: exact pairwise key-sharing
 probabilities, per-class mean edge probabilities, the deviation of a
-parameter point from the critical connectivity scaling, and an admissibility
-report.  Probability ratios are accumulated in exact rational arithmetic and
-rounded to a float once, so results are reproducible to the last bit and
-match enumeration oracles exactly.
+parameter point from the critical connectivity scaling, and the
+admissibility rule.  Probability ratios are accumulated in exact rational
+arithmetic and rounded to a float once, so results are reproducible to the
+last bit and match enumeration oracles exactly.
 
 Class indices are 1-based throughout, mirroring the usual statement of the
 model (class 1 has the smallest key ring).
@@ -142,44 +142,6 @@ def deviation_from_critical(params: ModelParams, k: int) -> float:
     return n * mean_edge_prob(params, 1) - math.log(n) - (k - 1) * math.log(math.log(n))
 
 
-def mean_edge_prob_key_approx(params: ModelParams) -> float:
-    """First-order approximation of the class-1 key-edge probability.
-
-    Smallest ring size times the mean ring size over the pool size, clamped
-    to [0, 1].  Accurate when rings are small relative to the pool.
-    """
-    k_avg = math.fsum(m * k for m, k in zip(params.mu, params.K))
-    return min(1.0, max(0.0, params.K[0] * k_avg / params.P))
-
-
-@dataclass(frozen=True)
-class ScalingReport:
-    """Admissibility and critical-scaling diagnostics for one parameter point.
-
-    ``admissible`` is the hard constraint (2 <= K_1 <= ... <= K_r <= P/2);
-    the three ratio fields are the soft design guidelines evaluated pointwise:
-    pool no smaller than the network, rings tiny against the pool, and ring
-    spread small against log n.
-    """
-
-    admissible: bool
-    deviation: float
-    min_class_edge_prob: float
-    min_class_edge_prob_approx: float
-    pool_to_nodes_ratio: float
-    ring_to_pool_ratio: float
-    ring_spread_to_log_ratio: float
-
-
-def scaling_report(params: ModelParams, k: int) -> ScalingReport:
-    """Evaluate admissibility and all scaling diagnostics at one point."""
-    admissible = params.K[0] >= 2 and 2 * params.K[-1] <= params.P
-    return ScalingReport(
-        admissible=admissible,
-        deviation=deviation_from_critical(params, k),
-        min_class_edge_prob=mean_edge_prob_key(params, 1),
-        min_class_edge_prob_approx=mean_edge_prob_key_approx(params),
-        pool_to_nodes_ratio=params.P / params.n,
-        ring_to_pool_ratio=params.K[-1] / params.P,
-        ring_spread_to_log_ratio=(params.K[-1] / params.K[0]) / math.log(params.n),
-    )
+def admissible(K, P: int) -> bool:
+    """The hard design constraint 2 <= K_1 <= ... <= K_r <= P/2."""
+    return K[0] >= 2 and all(a <= b for a, b in zip(K, K[1:])) and 2 * K[-1] <= P

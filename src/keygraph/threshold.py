@@ -1,4 +1,4 @@
-"""Critical-threshold solving and zero-one classification of parameter points.
+"""Critical-threshold solving: the smallest ring size that clears the scaling.
 
 The design question answered here: given n, the pool size, the class mix,
 the link reliability and a target k, how large must the smallest key ring be
@@ -6,6 +6,8 @@ so that the mean secure-degree of the weakest class clears the critical
 k-connectivity scaling?  The solver scans integer ring sizes upward (the
 left side is monotone in the smallest ring under a monotone profile rule),
 returning the first admissible size that satisfies the strict inequality.
+Which side of that scaling a given point lies on is
+``model.deviation_from_critical``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import ModelParams, deviation_from_critical, mean_edge_prob_key
+from .model import ModelParams, admissible, mean_edge_prob_key
 
 
 @dataclass(frozen=True)
@@ -68,16 +70,14 @@ class ThresholdResult:
     """Outcome of a threshold solve.
 
     ``K1_min`` is the smallest admissible ring size satisfying the strict
-    inequality, or None when no admissible size does (``satisfied`` False).
-    ``edge_prob_at_K1`` is the weakest-class mean key-edge probability at the
-    solution; ``rhs`` the critical level it must exceed.
+    inequality, or None when no admissible size does.  ``edge_prob_at_K1``
+    is the weakest-class mean key-edge probability at the solution; ``rhs``
+    the critical level it must exceed.
     """
 
     K1_min: Optional[int]
     edge_prob_at_K1: Optional[float]
     rhs: float
-    satisfied: bool
-    rule: KeyProfileRule
 
 
 def critical_rhs(n: int, alpha: float, k: int) -> float:
@@ -96,52 +96,17 @@ def solve_threshold(n: int, P: int, mu, alpha: float, k: int,
     """Smallest admissible K1 whose weakest-class edge probability beats the
     critical level.
 
-    Admissibility per probe: the produced ring vector is non-decreasing,
-    starts at 2 or more, and tops out at no more than P/2.  The scan is a
-    plain upward walk from 2; monotonicity of the edge probability in K1
-    under a monotone rule makes the first hit minimal.  If the scan exhausts
-    every admissible K1 the result comes back unsatisfied.
+    Every probe's ring vector must be ``admissible``.  The scan is a plain
+    upward walk from 2; monotonicity of the edge probability in K1 under a
+    monotone rule makes the first hit minimal.  The first inadmissible K1
+    ends the scan (a fixed tail overtaken, or the biggest ring past half the
+    pool; a larger K1 stays inadmissible), and the result has no K1_min.
     """
     rhs = critical_rhs(n, alpha, k)
     K1 = 2
-    while True:
-        K = rule.ring_sizes(K1)
-        if any(K[i] > K[i + 1] for i in range(len(K) - 1)):
-            break  # fixed tail overtaken; larger K1 can only stay invalid
-        if 2 * K[-1] > P:
-            break  # biggest ring exceeded half the pool
-        params = ModelParams(n=n, mu=mu, K=K, P=P, alpha=alpha)
-        lam = mean_edge_prob_key(params, 1)
+    while admissible(K := rule.ring_sizes(K1), P):
+        lam = mean_edge_prob_key(ModelParams(n=n, mu=mu, K=K, P=P, alpha=alpha), 1)
         if lam > rhs:
-            return ThresholdResult(
-                K1_min=K1, edge_prob_at_K1=lam, rhs=rhs, satisfied=True, rule=rule,
-            )
+            return ThresholdResult(K1_min=K1, edge_prob_at_K1=lam, rhs=rhs)
         K1 += 1
-    return ThresholdResult(
-        K1_min=None, edge_prob_at_K1=None, rhs=rhs, satisfied=False, rule=rule,
-    )
-
-
-@dataclass(frozen=True)
-class PointClassification:
-    """Which side of the zero-one dichotomy a parameter point sits on.
-
-    ``side`` is "above" (connected side) when the deviation is positive and
-    "below" otherwise; an exactly-zero deviation is reported as "above" with
-    ``on_boundary`` set, since the threshold inequality is strict and the
-    boundary deserves an explicit flag rather than a silent call.
-    """
-
-    side: str
-    deviation: float
-    on_boundary: bool
-
-
-def classify_point(params: ModelParams, k: int) -> PointClassification:
-    """Classify a parameter point against the critical scaling for target k."""
-    dev = deviation_from_critical(params, k)
-    if dev > 0.0:
-        return PointClassification(side="above", deviation=dev, on_boundary=False)
-    if dev == 0.0:
-        return PointClassification(side="above", deviation=0.0, on_boundary=True)
-    return PointClassification(side="below", deviation=dev, on_boundary=False)
+    return ThresholdResult(K1_min=None, edge_prob_at_K1=None, rhs=rhs)

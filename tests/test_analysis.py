@@ -11,10 +11,11 @@ from scipy.sparse.csgraph import (breadth_first_order, depth_first_order,
                                   maximum_flow)
 
 import keygraph.analysis
-from keygraph import (Graph, ModelParams, SeedSpec, connectivity_report,
-                      is_connected, is_k_connected, min_degree,
-                      sample_network, vertex_connectivity)
-from keygraph.analysis import _flow_pairs, _is_biconnected, _LocalConnectivity
+from keygraph import (Graph, ModelParams, SeedSpec, is_connected,
+                      is_k_connected, min_degree, sample_network,
+                      vertex_connectivity)
+from keygraph.analysis import (_flow_pairs, _is_biconnected, _LocalConnectivity,
+                               component_count)
 from oracles import (brute_local_connectivity, brute_min_cuts,
                      brute_vertex_connectivity, connected_after_removal)
 
@@ -373,16 +374,18 @@ class TestReport:
     def test_kappa_never_exceeds_min_degree_on_samples(self):
         p = ModelParams(n=40, mu=(0.5, 0.5), K=(3, 5), P=100, alpha=0.6)
         for t in range(25):
-            rep = connectivity_report(sample_network(p, SeedSpec(31337, t)).graph())
-            assert rep.vertex_connectivity <= rep.min_degree
-            assert rep.is_connected == (rep.component_count == 1)
-            assert rep.is_connected == (rep.vertex_connectivity >= 1)
+            g = sample_network(p, SeedSpec(31337, t)).graph()
+            kappa, _ = vertex_connectivity(g)
+            assert kappa <= min_degree(g)
+            assert is_connected(g) == (component_count(g) == 1)
+            assert is_connected(g) == (kappa >= 1)
 
     def test_report_on_disconnected_graph(self):
-        rep = connectivity_report(graph(4, [(0, 1), (2, 3)]))
-        assert rep.vertex_connectivity == 0
-        assert rep.min_vertex_cut == ()
-        assert rep.component_count == 2
+        g = graph(4, [(0, 1), (2, 3)])
+        kappa, cut = vertex_connectivity(g)
+        assert kappa == 0
+        assert cut.size == 0
+        assert component_count(g) == 2
 
     def test_brute_cut_census_contains_reported_cut(self):
         rng = np.random.default_rng(90)

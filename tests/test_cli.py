@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,6 +17,7 @@ from keygraph.cli import main
 from test_experiments import counting_pool
 
 FIG4_ARGS = ["--trials", "2", "--seed", "5"]
+DATA = Path(__file__).parent / "data"
 
 VALID_SPEC = {
     "name": "cli-mini",
@@ -54,6 +56,13 @@ class TestExitCodes:
                    "--K", "2", "--alpha", "0.5"])
         assert rc == 2
         assert "invalid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n,k", [("500", "0"), ("2", "1")])
+    def test_prob_rejects_before_printing(self, capsys, n, k):
+        rc = main(["prob", "--n", n, "--P", "10000", "--mu", "1", "--K", "2",
+                   "--alpha", "0.4", "--k", k])
+        out, err = capsys.readouterr()
+        assert rc == 2 and "invalid arguments" in err and out == ""
 
     @pytest.mark.parametrize("command,seed", [
         ("fig1", "-1"), ("fig3", "18446744073709551616"), ("fig4", "-1"),
@@ -148,7 +157,10 @@ class TestSpecBoundary:
         ("trials", 2.5), ("values", [3, float("inf")]),
         ("vertex_cut_curve", "no"), ("vertex_cut_curve", 1),
         # keys of options that no longer exist
-        ("min_degree", True), ("k_connectivity", True), ("normalize_mu", False)])
+        ("min_degree", True), ("k_connectivity", True), ("normalize_mu", False),
+        # a name is a non-empty string that keeps --dat files in place
+        ("name", ["a", "b/../c"]), ("name", "b/../c"), ("name", ""),
+        ("name", 7), ("name", "a\0b")])
     def test_reported_type_errors_exit_2(self, capsys, tmp_path, key, value):
         d = copy.deepcopy(VALID_SPEC)
         record = d.setdefault("record", {})
@@ -161,6 +173,7 @@ class TestSpecBoundary:
         rc = main(["run", "--spec", str(spec), "--out", str(tmp_path / "out.csv")])
         err = capsys.readouterr().err
         assert rc == 2 and key in err and "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_depth_sweep_with_two_ks_exits_2(self, capsys, tmp_path):
         d = copy.deepcopy(VALID_SPEC)
@@ -171,6 +184,23 @@ class TestSpecBoundary:
         rc = main(["run", "--spec", str(spec), "--out", str(tmp_path / "out.csv")])
         err = capsys.readouterr().err
         assert rc == 2 and "k_list" in err and "Traceback" not in err
+
+    def test_k_sweep_takes_no_k_list(self, capsys, tmp_path):
+        # the swept values are the targets; a k_list would be dropped
+        d = copy.deepcopy(VALID_SPEC)
+        d.update(sweep={"kind": "k", "values": [1, 2]}, k_list=[3, 9])
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(d))
+        out = tmp_path / "out.csv"
+        rc = main(["run", "--spec", str(spec), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and "k_list" in err and "Traceback" not in err
+        assert not out.exists()
+        del d["k_list"]
+        spec.write_text(json.dumps(d))
+        assert main(["run", "--spec", str(spec), "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[4] for row in rows] == ["1", "2"]
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_out_of_range_master_seed_exits_2(self, capsys, tmp_path, seed):
@@ -243,6 +273,51 @@ class TestNetworkBoundary:
         assert "invalid arguments" in err and str(dump) in err
 
 
+DESIGN_POINT = ["--n", "500", "--P", "10000", "--mu", "0.5,0.5",
+                "--alpha", "0.4", "--k", "8"]
+# Whole stdout and exit code of the one-point commands, byte for byte.
+PINNED = [
+    (["prob", *DESIGN_POINT, "--K", "30,40"], 0, """\
+n=500 P=10000 alpha=0.4 mu=0.5,0.5 K=30,40
+pairwise key-share probabilities:
+  p[1,1]=0.086312 p[1,2]=0.113448
+  p[2,1]=0.113448 p[2,2]=0.148397
+  mean_edge_prob_key[1]=0.099880  mean_edge_prob[1]=0.039952
+  mean_edge_prob_key[2]=0.130923  mean_edge_prob[2]=0.052369
+k=8 deviation=0.973117 side=above
+admissible=True pool/nodes=20 ring/pool=0.004 spread/log=0.214548
+"""),
+    (["prob", "--n", "100", "--P", "50", "--mu", "1", "--K", "26",
+      "--alpha", "0.5", "--k", "2"], 0, """\
+n=100 P=50 alpha=0.5 mu=1 K=26
+pairwise key-share probabilities:
+  p[1,1]=1.000000
+  mean_edge_prob_key[1]=1.000000  mean_edge_prob[1]=0.500000
+k=2 deviation=43.867650 side=above
+admissible=False pool/nodes=0.5 ring/pool=0.52 spread/log=0.217147
+"""),
+    (["threshold", *DESIGN_POINT, "--offsets", "0,10"], 0, """\
+K1_min=30
+K=30,40 edge_prob=0.099880 rhs=0.095015
+"""),
+    (["threshold", "--n", "500", "--P", "12", "--mu", "0.5,0.5",
+      "--alpha", "0.05", "--k", "40", "--offsets", "0,10"], 1, """\
+unsatisfiable: no admissible K1 reaches the critical level rhs=3.09855
+"""),
+    (["analyze", "--in", str(DATA / "golden_network.txt")], 0, """\
+n=30 edges=81
+min_degree=1 vertex_connectivity=1 connected=True components=1
+min_vertex_cut=3
+"""),
+]
+
+
+@pytest.mark.parametrize("argv,code,stdout", PINNED)
+def test_pinned_stdout(capsys, argv, code, stdout):
+    assert main(argv) == code
+    assert capsys.readouterr().out == stdout
+
+
 class TestProb:
     def test_design_point_table(self, capsys):
         rc = main(["prob", "--n", "500", "--P", "10000", "--mu", "0.5,0.5",
@@ -280,6 +355,19 @@ class TestSampleAnalyze:
         assert rc == 0
         out = capsys.readouterr().out
         assert "min_degree=" in out and "vertex_connectivity=" in out
+
+    def test_complete_graph_has_no_cut(self, capsys, tmp_path):
+        # rings over half the pool always share and alpha 1 keeps every
+        # channel on, so the sample is complete: kappa n-1 and no cut
+        dump = tmp_path / "net.txt"
+        assert main(["sample", "--n", "6", "--P", "4", "--mu", "1", "--K", "3",
+                     "--alpha", "1", "--out", str(dump)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(dump)]) == 0
+        assert capsys.readouterr().out == (
+            "n=6 edges=15\n"
+            "min_degree=5 vertex_connectivity=5 connected=True components=1\n"
+            "min_vertex_cut=(none)\n")
 
     def test_env_seed_fallback(self, capsys, tmp_path, monkeypatch):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

@@ -96,6 +96,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="k_list"):
             deletion_spec(k_list=k_list)
 
+    @pytest.mark.parametrize("k_list", [(3, 9), (2,)])
+    def test_k_sweep_rejects_k_list(self, k_list):
+        # a k sweep's targets are its values; a k_list would be dropped
+        with pytest.raises(ValueError, match="k_list"):
+            mini_spec(sweep_kind="k", sweep_values=(1, 2), rule=None,
+                      k_list=k_list)
+        assert mini_spec(sweep_kind="k", sweep_values=(1, 2), rule=None,
+                         k_list=None).k_list is None
+
     def test_accepts_the_64_bit_seed_edges(self):
         for seed in (0, 2**64 - 1):
             assert mini_spec(master_seed=seed).master_seed == seed

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keygraph import (ModelParams, deviation_from_critical, edge_prob_key,
-                      mean_edge_prob, mean_edge_prob_key,
-                      mean_edge_prob_key_approx, scaling_report)
+from keygraph import (ModelParams, admissible, deviation_from_critical,
+                      edge_prob_key, mean_edge_prob, mean_edge_prob_key)
+from keygraph.cli import main
 from oracles import (binomial_ratio_share_prob, enumerate_low_degree_expectation,
                      enumerate_share_prob, low_degree_expectation)
 
@@ -194,42 +194,27 @@ class TestDeviation:
             deviation_from_critical(p, 1)
 
 
-class TestApproxEdgeProb:
-    def test_homogeneous_reduction(self):
-        p = ModelParams(n=50, mu=(1.0,), K=(7,), P=100, alpha=0.5)
-        assert mean_edge_prob_key_approx(p) == pytest.approx(49 / 100, abs=1e-15)
-
-    def test_moderate_rings_within_six_percent(self):
-        p = ModelParams(n=500, mu=(0.5, 0.5), K=(30, 40), P=10**4, alpha=0.4)
-        approx = mean_edge_prob_key_approx(p)
-        exact = mean_edge_prob_key(p, 1)
-        assert approx == pytest.approx(0.105, abs=1e-12)
-        assert abs(approx - exact) / exact < 0.06
-
-    def test_tiny_rings_within_one_percent(self):
-        p = ModelParams(n=500, mu=(0.5, 0.5), K=(2, 2), P=10**6, alpha=0.4)
-        approx = mean_edge_prob_key_approx(p)
-        exact = edge_prob_key(p, 1, 1)
-        assert approx == pytest.approx(4e-6, abs=1e-18)
-        assert abs(approx - exact) / exact < 0.01
-
-
 class TestScalingReport:
     def test_single_key_ring_inadmissible(self):
-        p = ModelParams(n=100, mu=(1.0,), K=(1,), P=50, alpha=0.5)
-        assert not scaling_report(p, 2).admissible
+        assert not admissible((1,), 50)
+        assert admissible((2,), 50)
 
     def test_oversized_ring_inadmissible(self):
-        p = ModelParams(n=100, mu=(1.0,), K=(26,), P=50, alpha=0.5)
-        assert not scaling_report(p, 2).admissible
+        assert not admissible((26,), 50)
+        assert admissible((25,), 50)
+        # a fixed tail overtaken by K1 leaves the rings out of order
+        assert not admissible((5, 4), 50)
 
-    def test_design_point_report(self):
+    def test_design_point_report(self, capsys):
         p = ModelParams(n=500, mu=(0.5, 0.5), K=(30, 40), P=10**4, alpha=0.4)
-        rep = scaling_report(p, 8)
-        assert rep.admissible
-        assert rep.deviation > 0
-        assert rep.pool_to_nodes_ratio == 20.0
-        assert rep.ring_to_pool_ratio == pytest.approx(0.004)
-        assert rep.ring_spread_to_log_ratio == pytest.approx(
-            (40 / 30) / math.log(500))
-        assert rep.min_class_edge_prob == mean_edge_prob_key(p, 1)
+        assert main(["prob", "--n", "500", "--P", "10000", "--mu", "0.5,0.5",
+                     "--K", "30,40", "--alpha", "0.4", "--k", "8"]) == 0
+        out = capsys.readouterr().out
+        assert f"mean_edge_prob_key[1]={mean_edge_prob_key(p, 1):.6f}" in out
+        assert deviation_from_critical(p, 8) > 0 and "side=above" in out
+        fields = dict(f.split("=") for f in out.splitlines()[-1].split())
+        assert fields["admissible"] == "True"
+        assert float(fields["pool/nodes"]) == 20.0
+        assert float(fields["ring/pool"]) == pytest.approx(0.004)
+        assert float(fields["spread/log"]) == pytest.approx(
+            (40 / 30) / math.log(500), rel=1e-5)

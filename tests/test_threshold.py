@@ -4,10 +4,22 @@ import math
 
 import pytest
 
-from keygraph import (KeyProfileRule, ModelParams, classify_point,
+import keygraph.cli
+from keygraph import (KeyProfileRule, ModelParams, deviation_from_critical,
                       mean_edge_prob_key, solve_threshold)
+from keygraph.cli import main
 
 STEP10 = KeyProfileRule.offsets(0, 10)
+
+
+def prob_side_line(capsys, p, k):
+    """The ``k=... deviation=... side=...`` line that ``prob`` prints for p."""
+    assert main(["prob", "--n", str(p.n), "--P", str(p.P),
+                 "--mu", ",".join(map(repr, p.mu)),
+                 "--K", ",".join(map(str, p.K)),
+                 "--alpha", repr(p.alpha), "--k", str(k)]) == 0
+    return next(ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith(f"k={k} "))
 
 
 class TestRule:
@@ -35,7 +47,6 @@ class TestSolver:
     @pytest.mark.parametrize("k,expected", [(8, 30), (10, 33), (12, 36), (14, 38)])
     def test_published_design_values(self, k, expected):
         res = solve_threshold(500, 10**4, (0.5, 0.5), 0.4, k, STEP10)
-        assert res.satisfied
         assert res.K1_min == expected
 
     def test_single_class_small_target(self):
@@ -57,14 +68,16 @@ class TestSolver:
         assert mean_edge_prob_key(down, 1) <= res.rhs
         assert res.edge_prob_at_K1 > res.rhs
 
-    def test_solver_classifier_coherence(self):
+    def test_solver_classifier_coherence(self, capsys):
         res = solve_threshold(500, 10**4, (0.5, 0.5), 0.4, 8, STEP10)
         at = ModelParams(n=500, mu=(0.5, 0.5), K=STEP10.ring_sizes(res.K1_min),
                          P=10**4, alpha=0.4)
         below = ModelParams(n=500, mu=(0.5, 0.5), K=STEP10.ring_sizes(res.K1_min - 1),
                             P=10**4, alpha=0.4)
-        assert classify_point(at, 8).side == "above"
-        assert classify_point(below, 8).side == "below"
+        assert deviation_from_critical(at, 8) > 0
+        assert deviation_from_critical(below, 8) < 0
+        assert prob_side_line(capsys, at, 8).endswith(" side=above")
+        assert prob_side_line(capsys, below, 8).endswith(" side=below")
 
     def test_monotone_in_k_and_alpha(self):
         ks = [2, 4, 6, 8, 10, 12, 14]
@@ -79,47 +92,42 @@ class TestSolver:
     def test_unsatisfiable_pool(self):
         # a 12-key pool cannot reach the critical level for k=40 at n=500
         res = solve_threshold(500, 12, (0.5, 0.5), 0.05, 40, STEP10)
-        assert not res.satisfied
-        assert res.K1_min is None
+        assert res.K1_min is None and res.edge_prob_at_K1 is None
 
     def test_fixed_tail_scan_respects_ordering(self):
         rule = KeyProfileRule.fixed_tail(4)
         # tail of 4 caps K1; with a tiny pool nothing satisfies k=30
         res = solve_threshold(500, 40, (0.5, 0.5), 0.1, 30, rule)
-        assert not res.satisfied
+        assert res.K1_min is None
 
 
 class TestClassifier:
-    def test_design_point_above(self):
+    def test_design_point_above(self, capsys):
         p = ModelParams(n=500, mu=(0.5, 0.5), K=(30, 40), P=10**4, alpha=0.4)
-        assert classify_point(p, 8).side == "above"
+        assert deviation_from_critical(p, 8) > 0
+        assert prob_side_line(capsys, p, 8).endswith(" side=above")
 
-    def test_below_design_point(self):
+    def test_below_design_point(self, capsys):
         p = ModelParams(n=500, mu=(0.5, 0.5), K=(29, 39), P=10**4, alpha=0.4)
-        assert classify_point(p, 8).side == "below"
+        assert deviation_from_critical(p, 8) < 0
+        assert prob_side_line(capsys, p, 8).endswith(" side=below")
 
-    def test_boundary_flagged(self):
+    def test_boundary_flagged(self, capsys):
         n, k = 500, 3
         base = ModelParams(n=n, mu=(1.0,), K=(20,), P=10**4, alpha=1.0)
         lam = mean_edge_prob_key(base, 1)
         target = (math.log(n) + (k - 1) * math.log(math.log(n))) / n
         p = base.replace(alpha=target / lam)
-        cls = classify_point(p, k)
-        # lands within float error of zero; the side must be deterministic
-        # and the flag only fires on an exact zero
-        assert cls.side in ("above", "below")
-        if cls.deviation == 0.0:
-            assert cls.on_boundary
+        dev = deviation_from_critical(p, k)
+        # lands within float error of zero; the side follows the sign and
+        # the flag only fires on an exact zero
+        line = prob_side_line(capsys, p, k)
+        assert line.split()[2] == ("side=above" if dev >= 0 else "side=below")
+        assert line.endswith(" (boundary)") == (dev == 0.0)
 
-    def test_exact_zero_is_boundary(self):
-        from keygraph.threshold import PointClassification
-        import keygraph.threshold as th
+    def test_exact_zero_is_boundary(self, capsys, monkeypatch):
         p = ModelParams(n=500, mu=(1.0,), K=(20,), P=10**4, alpha=0.5)
-        orig = th.deviation_from_critical
-        try:
-            th.deviation_from_critical = lambda *_: 0.0
-            cls = classify_point(p, 3)
-        finally:
-            th.deviation_from_critical = orig
-        assert cls == PointClassification(side="above", deviation=0.0,
-                                          on_boundary=True)
+        monkeypatch.setattr(keygraph.cli, "deviation_from_critical",
+                            lambda *_: 0.0)
+        assert prob_side_line(capsys, p, 3) == \
+            "k=3 deviation=0.000000 side=above (boundary)"
