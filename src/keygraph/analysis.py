@@ -11,13 +11,23 @@ Matchings, flows and graph searches are delegated to scipy.sparse.csgraph;
 everything around them (reductions, pair enumeration, cut recovery,
 articulation test, degree bookkeeping) is local.
 
+Most sinks of (a) only confirm the bound, so a neighbor count skips them.
+With b the least value so far, call u *tied* when no separator of fewer
+than b nodes, s and u outside it, puts u apart from s.  Every neighbor of s
+is tied, and so is every sink already matched (Menger).  A sink t with at
+least b tied neighbors is tied too: one of them survives any such
+separator, so kappa(s, t) >= b and t cannot lower b; its matching is
+skipped.  A tie stays valid when b falls.  Pairs of neighbors of s, part
+(b) of the enumeration, are never skipped.
+
 All functions are pure; scratch state is per call, so concurrent use on
 distinct graphs is safe.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import itertools
+from numbers import Integral
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -92,7 +102,7 @@ def min_degree(g: Graph) -> int:
 
 
 def _adjacency(g: Graph) -> csr_matrix:
-    return csr_matrix((np.ones(g.indices.size, dtype=np.int8), g.indices, g.indptr),
+    return csr_matrix((np.ones(g.indices.size, dtype=np.int32), g.indices, g.indptr),
                       shape=(g.n, g.n))
 
 
@@ -118,26 +128,6 @@ def _split_flow_matrix(g: Graph) -> csr_matrix:
         np.full(2 * g.m, n, dtype=np.int32),
     ])
     return csr_matrix((caps, (rows, cols)), shape=(2 * n, 2 * n), dtype=np.int32)
-
-
-def _flow_pairs(g: Graph) -> Iterable[tuple]:
-    """Source/sink pairs whose local connectivities attain the global value.
-
-    Fixed deterministic order: first every node non-adjacent to the lowest
-    minimum-degree node s (ascending), then every non-adjacent pair of
-    neighbors of s (ascending lexicographic).
-    """
-    s = int(np.argmin(g.degrees))
-    nb = g.neighbors(s)
-    nb_set = set(nb.tolist())
-    for t in range(g.n):
-        if t != s and t not in nb_set:
-            yield s, t
-    for i in range(nb.size):
-        for j in range(i + 1, nb.size):
-            u, v = int(nb[i]), int(nb[j])
-            if not g.has_edge(u, v):
-                yield u, v
 
 
 class _LocalConnectivity:
@@ -211,6 +201,53 @@ def _cut_from_flow(g: Graph, mat: csr_matrix, flow, src: int) -> np.ndarray:
     return np.flatnonzero(reach[0::2] & ~reach[1::2]).astype(np.int32)
 
 
+def _weakest_pair(g: Graph, stop_below: int | None = None) -> tuple:
+    """``(value, (src, dst))``: the first Even-Tarjan pair of least kappa.
+
+    Fixed deterministic order: first every node t non-adjacent to the lowest
+    minimum-degree node s (ascending), then every non-adjacent pair of
+    neighbors of s (ascending lexicographic).  Only a strictly smaller value
+    replaces the best pair, so a tied sink (module docstring) is skipped.
+    The loop stops at a proven lower bound: 1 (connected), or 2 once the
+    graph is known biconnected.  With ``stop_below`` = k the bound b starts
+    at k and the loop stops at the first pair below it; if none is, the
+    result is ``(k, None)``.  Needs a connected, non-complete graph.
+    """
+    n, deg = g.n, g.degrees
+    s = int(np.argmin(deg))
+    nb = g.neighbors(s)
+    adj = _adjacency(g)
+    tied, count = np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int32)
+    fresh = np.zeros(n, dtype=bool)
+    fresh[nb] = True
+    sinks = np.flatnonzero(~fresh)
+    pairs = itertools.chain(
+        ((s, t) for t in sinks[sinks != s].tolist()),
+        ((int(u), int(v)) for i, u in enumerate(nb) for v in nb[i + 1:]
+         if not g.has_edge(u, v)))
+    local = _LocalConnectivity(g)
+    # kappa(s, t) <= delta, so delta + 1 lets the first sink set the pair.
+    best = int(deg[s]) + 1 if stop_below is None else stop_below
+    pair = None
+    for src, dst in pairs:
+        if src == s:
+            while fresh.any():  # tie them, then every node they prove
+                tied |= fresh
+                count += adj @ fresh
+                fresh = ~tied & (count >= best)
+            if tied[dst]:
+                continue
+            fresh[dst] = True  # once matched, kappa(s, dst) >= best
+        value = local(src, dst)
+        if value < best:
+            best, pair = value, (src, dst)
+            # With a bound, any improvement on it lies below it.
+            if stop_below is not None or best == 1 or (
+                    best == 2 and _is_biconnected(g)):
+                break
+    return best, pair
+
+
 def vertex_connectivity(g: Graph) -> tuple:
     """Exact vertex connectivity and one minimum vertex cut.
 
@@ -226,24 +263,14 @@ def vertex_connectivity(g: Graph) -> tuple:
         return 0, empty
     if g.is_complete():
         return g.n - 1, empty
-    local = _LocalConnectivity(g)
-    best = None
-    for src, dst in _flow_pairs(g):
-        value = local(src, dst)
-        if best is None or value < best:
-            best, best_src, best_dst = value, src, dst
-            # Stop at a proven lower bound: 1 (connected), or 2 once the
-            # graph is known biconnected; no later pair can improve strictly.
-            if best == 1 or (best == 2 and _is_biconnected(g)):
-                break
-    # A connected non-complete graph always yields at least one pair, and the
-    # strict-improvement update keeps the first pair attaining the minimum.
-    # Every max flow of that pair has the same minimal source-side cut.
+    best, (src, dst) = _weakest_pair(g)
+    # Every max flow of the first minimum pair has the same minimal
+    # source-side cut.
     mat = _split_flow_matrix(g)
-    flow = maximum_flow(mat, 2 * best_src + 1, 2 * best_dst)
+    flow = maximum_flow(mat, 2 * src + 1, 2 * dst)
     if flow.flow_value != best:
         raise AssertionError("max flow disagrees with the matching")
-    cut = _cut_from_flow(g, mat, flow, best_src)
+    cut = _cut_from_flow(g, mat, flow, src)
     if cut.size != best:
         raise AssertionError("recovered cut size disagrees with connectivity")
     return best, cut
@@ -280,16 +307,17 @@ def _is_biconnected(g: Graph) -> bool:
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
-    """True iff the vertex connectivity is at least k.
+    """True iff the vertex connectivity is at least k (a positive integer).
 
     Cheap refutations first (degree bound, then connectivity for k = 1 and
     biconnectivity, which rejects a disconnected graph itself, for k = 2);
-    the pair enumeration runs only for k >= 3 and stops at the first local
-    connectivity below k.
+    the pair loop runs only for k >= 3, with the skip bound b = k from its
+    first pair: a sink with k tied neighbors has kappa(s, t) >= k and is not
+    matched.  It stops at the first local connectivity below k.
     """
     if g.n < 2:
         raise ValueError("k-connectivity needs at least two nodes")
-    if k < 1:
+    if isinstance(k, bool) or not isinstance(k, Integral) or k < 1:
         raise ValueError("k must be a positive integer")
     if k > g.n - 1:
         return False
@@ -303,6 +331,4 @@ def is_k_connected(g: Graph, k: int) -> bool:
         return False
     if g.is_complete():
         return True
-    local = _LocalConnectivity(g)
-    return all(local(src, dst) >= k for src, dst in _flow_pairs(g))
-
+    return _weakest_pair(g, k)[0] >= k

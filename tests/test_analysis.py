@@ -14,8 +14,7 @@ import keygraph.analysis
 from keygraph import (Graph, ModelParams, SeedSpec, is_connected,
                       is_k_connected, min_degree, sample_network,
                       vertex_connectivity)
-from keygraph.analysis import (_flow_pairs, _is_biconnected, _LocalConnectivity,
-                               component_count)
+from keygraph.analysis import _is_biconnected, _LocalConnectivity, component_count
 from oracles import (brute_local_connectivity, brute_min_cuts,
                      brute_vertex_connectivity, connected_after_removal)
 
@@ -61,11 +60,37 @@ def split_flow(g, src, dst):
     return mat, maximum_flow(mat, 2 * src + 1, 2 * dst)
 
 
+def even_tarjan_pairs(g):
+    """Every Even-Tarjan pair in the library's order: the lowest
+    minimum-degree node s with each non-neighbour (ascending), then each
+    non-adjacent pair of neighbours of s (lexicographic)."""
+    adj = {v: set(g.neighbors(v).tolist()) for v in range(g.n)}
+    s = min(range(g.n), key=lambda v: (len(adj[v]), v))
+    nb = sorted(adj[s])
+    return ([(s, t) for t in range(g.n) if t != s and t not in adj[s]]
+            + [(u, v) for u, v in itertools.combinations(nb, 2) if v not in adj[u]])
+
+
+def count_calls(monkeypatch, *names):
+    """Count calls of the named keygraph.analysis functions, in place."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(keygraph.analysis, name)
+
+        def counted(*a, _fn=fn, _name=name, **kw):
+            calls[_name] += 1
+            return _fn(*a, **kw)
+
+        monkeypatch.setattr(keygraph.analysis, name, counted)
+    return calls
+
+
 def full_pair_loop(g):
     """(kappa, cut) from a scipy max flow for every Even-Tarjan pair, with no
-    early exit; the cut is the split nodes the residual graph cuts off."""
+    early exit or skipped sink; the cut is the split nodes the residual
+    graph cuts off."""
     best = None
-    for src, dst in _flow_pairs(g):
+    for src, dst in even_tarjan_pairs(g):
         value = split_flow(g, src, dst)[1].flow_value
         if best is None or value < best:
             best, pair = value, (src, dst)
@@ -208,18 +233,36 @@ class TestVertexConnectivity:
             ref_kappa, ref_cut = full_pair_loop(g)
             assert kappa == ref_kappa and cut.tolist() == ref_cut.tolist()
 
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(min_n=2, max_n=10))
+    def test_skipping_loop_matches_full_loop_and_oracle(self, g):
+        kappa, cut = vertex_connectivity(g)
+        assert kappa == brute_vertex_connectivity(g.n, g.edges)
+        if is_connected(g) and not g.is_complete():
+            ref_kappa, ref_cut = full_pair_loop(g)
+            assert kappa == ref_kappa and cut.tolist() == ref_cut.tolist()
+        for k in range(1, g.n + 1):
+            assert is_k_connected(g, k) == (kappa >= k)
+
+    def test_cut_through_the_min_degree_node(self):
+        # two K5s joined by node 0 (the lowest min-degree node, so s) and
+        # one edge 3-8: every minimum cut holds 0, so only a pair of
+        # neighbours of 0 (phase 2, never skipped) finds kappa 2; every sink
+        # of 0 gives 3
+        edges = (list(itertools.combinations(range(1, 6), 2))
+                 + list(itertools.combinations(range(6, 11), 2))
+                 + [(0, 1), (0, 2), (0, 6), (0, 7), (3, 8)])
+        g = graph(11, edges)
+        kappa, cut = vertex_connectivity(g)
+        assert kappa == 2 == brute_vertex_connectivity(11, g.edges)
+        assert cut.tolist() == full_pair_loop(g)[1].tolist() == [0, 3]
+        assert is_k_connected(g, 2) and not is_k_connected(g, 3)
+
     def test_low_min_degree_needs_one_pair(self, monkeypatch):
         # a pendant node (delta 1) and a cycle (delta 2, biconnected) each
         # stop after the first pair's matching; one flow then yields the cut
-        calls = {"maximum_flow": 0, "maximum_bipartite_matching": 0}
-        for name in calls:
-            fn = getattr(keygraph.analysis, name)
-
-            def counted(*a, _fn=fn, _name=name, **kw):
-                calls[_name] += 1
-                return _fn(*a, **kw)
-
-            monkeypatch.setattr(keygraph.analysis, name, counted)
+        calls = count_calls(monkeypatch, "maximum_flow",
+                            "maximum_bipartite_matching")
         ring = [(i, (i + 1) % 12) for i in range(12)]
         for n, edges, kappa in ((13, ring + [(0, 12)], 1), (12, ring, 2)):
             calls.update(dict.fromkeys(calls, 0))
@@ -241,14 +284,23 @@ class TestLocalConnectivity:
                 if s != t and not g.has_edge(s, t):
                     assert local(s, t) == brute_local_connectivity(g.n, g.edges, s, t)
 
-    def test_is_k_connected_agrees_with_kappa_on_samples(self):
-        # n = 500 samples from kappa 4 to about 10; k runs past delta
+    def test_is_k_connected_agrees_with_kappa_on_samples(self, monkeypatch):
+        # n = 500 samples from kappa 4 to about 10; k runs past delta.  Tied
+        # sinks are skipped, so at most half of the 500 and 519 Even-Tarjan
+        # pairs need a matching, whether kappa is computed or confirmed.
+        calls = count_calls(monkeypatch, "maximum_bipartite_matching")
         for K1, seed in ((23, 7), (28, 8)):
             p = ModelParams(n=500, mu=(0.5, 0.5), K=(K1, K1 + 10), P=10**4,
                             alpha=0.4)
             g = sample_network(p, SeedSpec(seed, 0)).graph()
+            pairs = len(even_tarjan_pairs(g))
+            calls["maximum_bipartite_matching"] = 0
             kappa = vertex_connectivity(g)[0]
             assert kappa >= 3
+            assert calls["maximum_bipartite_matching"] <= pairs // 2
+            calls["maximum_bipartite_matching"] = 0
+            assert is_k_connected(g, kappa)
+            assert calls["maximum_bipartite_matching"] <= pairs // 2
             for k in range(3, min_degree(g) + 2):
                 assert is_k_connected(g, k) == (kappa >= k)
 
@@ -324,6 +376,15 @@ class TestIsKConnected:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             is_k_connected(graph(3, PATH3), 0)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, False, np.bool_(True), "3"])
+    def test_rejects_non_integer_k(self, k):
+        with pytest.raises(ValueError, match="positive integer"):
+            is_k_connected(graph(5, K5), k)
+
+    @pytest.mark.parametrize("k", [np.int8(3), np.int64(4), np.uint32(5)])
+    def test_accepts_numpy_integer_k(self, k):
+        assert is_k_connected(graph(5, K5), k) == (int(k) <= 4)
 
 
 class TestDeleteAndCheck:
