@@ -11,14 +11,20 @@ Matchings, flows and graph searches are delegated to scipy.sparse.csgraph;
 everything around them (reductions, pair enumeration, cut recovery,
 articulation test, degree bookkeeping) is local.
 
-Most sinks of (a) only confirm the bound, so a neighbor count skips them.
-With b the least value so far, call u *tied* when no separator of fewer
-than b nodes, s and u outside it, puts u apart from s.  Every neighbor of s
-is tied, and so is every sink already matched (Menger).  A sink t with at
-least b tied neighbors is tied too: one of them survives any such
-separator, so kappa(s, t) >= b and t cannot lower b; its matching is
-skipped.  A tie stays valid when b falls.  Pairs of neighbors of s, part
-(b) of the enumeration, are never skipped.
+Almost every pair only confirms the bound, so a fan of disjoint paths
+skips it.  With b the least value so far, call u *tied* when no separator
+of fewer than b nodes, s and u outside it, puts u apart from s.  Every
+neighbor of s is tied, and so is every sink already matched (Menger).  A
+sink t with b paths to distinct tied nodes, disjoint apart from t, is tied
+too: a separator of fewer than b nodes that avoids s and t misses one whole
+path, whose tied end still reaches s.  So kappa(s, t) >= b, t cannot lower
+b, and its matching is skipped.  A tie stays valid when b falls.  The paths
+are single edges to tied neighbors, counted for every node at once, and
+then two-hop paths t, w, z found greedily by :func:`_fan`.  A pair (x, y)
+of neighbors of s, part (b), is skipped when :func:`_fan` finds b paths
+y, z, x or y, w, z, x that are disjoint apart from x and y: kappa(x, y) >= b
+by Menger.  Only pairs that cannot lower b are skipped, so the first pair of
+least kappa, and the cut from it, are those of the full enumeration.
 
 All functions are pure; scratch state is per call, so concurrent use on
 distinct graphs is safe.
@@ -201,13 +207,40 @@ def _cut_from_flow(g: Graph, mat: csr_matrix, flow, src: int) -> np.ndarray:
     return np.flatnonzero(reach[0::2] & ~reach[1::2]).astype(np.int32)
 
 
+def _fan(g: Graph, t: int, ends: np.ndarray, need: int) -> int:
+    """Disjoint paths from ``t`` to distinct nodes of ``ends``, at most ``need``.
+
+    Greedy: first every neighbor z of t in ``ends`` (path t, z), then for
+    each other neighbor w of t the first node z of ``ends`` next to w that
+    is neither a neighbor of t nor an end already taken (path t, w, z).
+    The paths meet only at t, so the count is a lower bound on the largest
+    such fan.  ``ends`` is a boolean node mask without t, and is only read.
+    """
+    nt = g.neighbors(t)
+    direct = ends[nt]
+    found = int(np.count_nonzero(direct))
+    taken = set(nt.tolist())
+    for w in nt[~direct].tolist():
+        if found >= need:
+            break
+        nw = g.neighbors(w)
+        for z in nw[ends[nw]].tolist():
+            if z not in taken:
+                taken.add(z)
+                found += 1
+                break
+    return min(found, need)
+
+
 def _weakest_pair(g: Graph, stop_below: int | None = None) -> tuple:
     """``(value, (src, dst))``: the first Even-Tarjan pair of least kappa.
 
     Fixed deterministic order: first every node t non-adjacent to the lowest
     minimum-degree node s (ascending), then every non-adjacent pair of
     neighbors of s (ascending lexicographic).  Only a strictly smaller value
-    replaces the best pair, so a tied sink (module docstring) is skipped.
+    replaces the best pair, so a pair that a fan proves at least b (module
+    docstring) is skipped: a sink that is tied or has ``_fan(g, t, tied, b)
+    >= b``, and a pair (x, y) with ``_fan(g, y, N(x), b) >= b``.
     The loop stops at a proven lower bound: 1 (connected), or 2 once the
     graph is known biconnected.  With ``stop_below`` = k the bound b starts
     at k and the loop stops at the first pair below it; if none is, the
@@ -220,6 +253,7 @@ def _weakest_pair(g: Graph, stop_below: int | None = None) -> tuple:
     tied, count = np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int32)
     fresh = np.zeros(n, dtype=bool)
     fresh[nb] = True
+    near, row = np.zeros(n, dtype=bool), None  # near is N(row)
     sinks = np.flatnonzero(~fresh)
     pairs = itertools.chain(
         ((s, t) for t in sinks[sinks != s].tolist()),
@@ -237,7 +271,16 @@ def _weakest_pair(g: Graph, stop_below: int | None = None) -> tuple:
                 fresh = ~tied & (count >= best)
             if tied[dst]:
                 continue
-            fresh[dst] = True  # once matched, kappa(s, dst) >= best
+            fresh[dst] = True  # proven below or matched: kappa(s, dst) >= best
+            ends = tied
+        else:
+            if src != row:
+                near[:] = False
+                near[g.neighbors(src)] = True
+                row = src
+            ends = near
+        if _fan(g, dst, ends, best) >= best:
+            continue
         value = local(src, dst)
         if value < best:
             best, pair = value, (src, dst)
@@ -312,8 +355,10 @@ def is_k_connected(g: Graph, k: int) -> bool:
     Cheap refutations first (degree bound, then connectivity for k = 1 and
     biconnectivity, which rejects a disconnected graph itself, for k = 2);
     the pair loop runs only for k >= 3, with the skip bound b = k from its
-    first pair: a sink with k tied neighbors has kappa(s, t) >= k and is not
-    matched.  It stops at the first local connectivity below k.
+    first pair: a pair with a fan of k disjoint paths (a sink to tied nodes,
+    or one neighbor of s to the other's neighbors) has local connectivity
+    at least k and is not matched.  It stops at the first local
+    connectivity below k.
     """
     if g.n < 2:
         raise ValueError("k-connectivity needs at least two nodes")

@@ -14,7 +14,8 @@ import keygraph.analysis
 from keygraph import (Graph, ModelParams, SeedSpec, is_connected,
                       is_k_connected, min_degree, sample_network,
                       vertex_connectivity)
-from keygraph.analysis import _is_biconnected, _LocalConnectivity, component_count
+from keygraph.analysis import (_fan, _is_biconnected, _LocalConnectivity,
+                               component_count)
 from oracles import (brute_local_connectivity, brute_min_cuts,
                      brute_vertex_connectivity, connected_after_removal)
 
@@ -247,8 +248,8 @@ class TestVertexConnectivity:
     def test_cut_through_the_min_degree_node(self):
         # two K5s joined by node 0 (the lowest min-degree node, so s) and
         # one edge 3-8: every minimum cut holds 0, so only a pair of
-        # neighbours of 0 (phase 2, never skipped) finds kappa 2; every sink
-        # of 0 gives 3
+        # neighbours of 0 (phase 2, not fan-proven, as it lies below b)
+        # finds kappa 2; every sink of 0 gives 3
         edges = (list(itertools.combinations(range(1, 6), 2))
                  + list(itertools.combinations(range(6, 11), 2))
                  + [(0, 1), (0, 2), (0, 6), (0, 7), (3, 8)])
@@ -257,6 +258,40 @@ class TestVertexConnectivity:
         assert kappa == 2 == brute_vertex_connectivity(11, g.edges)
         assert cut.tolist() == full_pair_loop(g)[1].tolist() == [0, 3]
         assert is_k_connected(g, 2) and not is_k_connected(g, 3)
+
+    def test_phase_two_fan_ends_are_the_current_neighbourhood(self):
+        # two K6s, {2..7} and {8..13}, joined only through 0 (s) and 1.
+        # The pairs (1, y) have kappa 3 and a direct fan of 3 to N(1); then
+        # (2, 8) finds kappa 2, but 8 has three neighbours in N(1) | N(2),
+        # so a fan to a stale mask of 1's neighbours would skip it
+        edges = (list(itertools.combinations(range(2, 8), 2))
+                 + list(itertools.combinations(range(8, 14), 2))
+                 + [(0, 1), (0, 2), (0, 3), (0, 8), (0, 9),
+                    (1, 4), (1, 5), (1, 10), (1, 11)])
+        g = graph(14, edges)
+        kappa, cut = vertex_connectivity(g)
+        assert kappa == 2 == brute_vertex_connectivity(14, g.edges)
+        assert cut.tolist() == full_pair_loop(g)[1].tolist() == [0, 1]
+
+    def test_phase_one_fan_skip_keeps_the_full_loop_result(self, monkeypatch):
+        # small random graphs rarely prove a sink by its fan (it needs b
+        # disjoint paths to tied nodes); an n = 500 sample does, many times
+        p = ModelParams(n=500, mu=(0.5, 0.5), K=(28, 38), P=10**4, alpha=0.4)
+        g = sample_network(p, SeedSpec(8, 0)).graph()
+        s = int(np.argmin(g.degrees))
+        sinks_proven = []
+
+        def fan(g, t, ends, need, _fan=keygraph.analysis._fan):
+            found = _fan(g, t, ends, need)
+            if found >= need and not g.has_edge(s, t):
+                sinks_proven.append(t)
+            return found
+
+        monkeypatch.setattr(keygraph.analysis, "_fan", fan)
+        kappa, cut = vertex_connectivity(g)
+        ref_kappa, ref_cut = full_pair_loop(g)
+        assert kappa == ref_kappa and cut.tolist() == ref_cut.tolist()
+        assert sinks_proven
 
     def test_low_min_degree_needs_one_pair(self, monkeypatch):
         # a pendant node (delta 1) and a cycle (delta 2, biconnected) each
@@ -286,8 +321,9 @@ class TestLocalConnectivity:
 
     def test_is_k_connected_agrees_with_kappa_on_samples(self, monkeypatch):
         # n = 500 samples from kappa 4 to about 10; k runs past delta.  Tied
-        # sinks are skipped, so at most half of the 500 and 519 Even-Tarjan
-        # pairs need a matching, whether kappa is computed or confirmed.
+        # sinks and fan-proven pairs are skipped, so at most a tenth of the
+        # 500 and 519 Even-Tarjan pairs need a matching (7 and 15), whether
+        # kappa is computed or confirmed.
         calls = count_calls(monkeypatch, "maximum_bipartite_matching")
         for K1, seed in ((23, 7), (28, 8)):
             p = ModelParams(n=500, mu=(0.5, 0.5), K=(K1, K1 + 10), P=10**4,
@@ -297,12 +333,65 @@ class TestLocalConnectivity:
             calls["maximum_bipartite_matching"] = 0
             kappa = vertex_connectivity(g)[0]
             assert kappa >= 3
-            assert calls["maximum_bipartite_matching"] <= pairs // 2
+            assert calls["maximum_bipartite_matching"] <= pairs // 10
             calls["maximum_bipartite_matching"] = 0
             assert is_k_connected(g, kappa)
-            assert calls["maximum_bipartite_matching"] <= pairs // 2
+            assert calls["maximum_bipartite_matching"] <= pairs // 10
             for k in range(3, min_degree(g) + 2):
                 assert is_k_connected(g, k) == (kappa >= k)
+
+
+class TestFan:
+    """The greedy two-hop fan that proves pairs without a matching."""
+
+    @staticmethod
+    def mask(n, nodes):
+        ends = np.zeros(n, dtype=bool)
+        ends[list(nodes)] = True
+        return ends
+
+    def test_two_neighbours_with_one_shared_end_count_once(self):
+        # 1 and 2 both reach only the end 3
+        g = graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        assert _fan(g, 0, self.mask(4, [3]), 5) == 1
+
+    def test_direct_ends_and_two_hop_paths_add_up(self):
+        # ends 1 and 2 next to 0, then 0-3-5 (3 also reaches the taken end
+        # 1) and 0-4-6
+        g = graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (3, 5), (4, 6), (3, 1)])
+        assert _fan(g, 0, self.mask(7, [1, 2, 5, 6]), 9) == 4
+
+    def test_a_neighbour_end_is_never_a_second_hop(self):
+        # the end 1 is next to 0 and to 2; it counts once, as 0-1
+        g = graph(3, [(0, 1), (0, 2), (1, 2)])
+        assert _fan(g, 0, self.mask(3, [1]), 3) == 1
+
+    def test_count_stops_at_need(self):
+        g = graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (3, 5), (4, 6)])
+        ends = self.mask(7, [1, 2, 5, 6])
+        assert [_fan(g, 0, ends, need) for need in range(1, 6)] == [1, 2, 3, 4, 4]
+
+    def test_ends_are_unchanged(self):
+        g = graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (3, 5), (4, 6)])
+        ends = self.mask(7, [1, 5, 6])
+        before = ends.copy()
+        _fan(g, 0, ends, 9)
+        assert np.array_equal(ends, before)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_never_exceeds_the_true_fan(self, data):
+        # the largest fan from t to the ends is kappa(t, a) once a new node
+        # a is joined to every end (Menger)
+        g = data.draw(small_graphs(min_n=2, max_n=9))
+        t = data.draw(st.integers(0, g.n - 1))
+        nodes = data.draw(st.sets(st.integers(0, g.n - 1).filter(lambda v: v != t)))
+        need = data.draw(st.integers(1, g.n))
+        ends = self.mask(g.n, nodes)
+        found = _fan(g, t, ends, need)
+        edges = g.edges.tolist() + [(v, g.n) for v in sorted(nodes)]
+        assert 0 <= found <= need
+        assert found <= brute_local_connectivity(g.n + 1, edges, t, g.n)
 
 
 class TestBiconnectivity:
