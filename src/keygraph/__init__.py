@@ -15,10 +15,10 @@ from .experiments import (ExperimentResult, ExperimentRow, ExperimentSpec,
                           wilson_halfwidth, write_csv, write_dat)
 from .model import (ModelParams, admissible, deviation_from_critical,
                     edge_prob_key, mean_edge_prob, mean_edge_prob_key)
-from .rng import SeedSpec, derive_master, mix64
+from .rng import SeedSpec, derive_master
 from .sampler import (SampledNetwork, read_network, sample_network,
                       write_network)
-from .threshold import KeyProfileRule, ThresholdResult, solve_threshold
+from .threshold import KeyProfileRule, solve_threshold
 
 __all__ = [
     "__version__",
@@ -28,7 +28,7 @@ __all__ = [
     "load_spec", "run_experiment", "wilson_halfwidth", "write_csv", "write_dat",
     "ModelParams", "admissible", "deviation_from_critical", "edge_prob_key",
     "mean_edge_prob", "mean_edge_prob_key",
-    "SeedSpec", "derive_master", "mix64",
+    "SeedSpec", "derive_master",
     "SampledNetwork", "read_network", "sample_network", "write_network",
-    "KeyProfileRule", "ThresholdResult", "solve_threshold",
+    "KeyProfileRule", "solve_threshold",
 ]

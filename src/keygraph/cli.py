@@ -23,8 +23,9 @@ from concurrent.futures import BrokenExecutor
 
 from . import experiments as xp
 from .analysis import component_count, min_degree, vertex_connectivity
-from .model import (ModelParams, admissible, deviation_from_critical,
-                    edge_prob_key, mean_edge_prob, mean_edge_prob_key)
+from .model import (ModelParams, admissible, critical_rhs,
+                    deviation_from_critical, edge_prob_key, mean_edge_prob,
+                    mean_edge_prob_key)
 from .rng import SeedSpec
 from .sampler import read_network, sample_network, write_network
 from .threshold import KeyProfileRule, solve_threshold
@@ -138,14 +139,16 @@ def _cmd_threshold(args) -> int:
         rule = KeyProfileRule.fixed_tail(*args.tail)
     else:
         rule = KeyProfileRule.offsets(*args.offsets)
-    res = solve_threshold(args.n, args.P, args.mu, args.alpha, args.k, rule)
-    if res.K1_min is None:
-        print(f"unsatisfiable: no admissible K1 reaches the critical level "
-              f"rhs={res.rhs:.6g}")
+    K1 = solve_threshold(args.n, args.P, args.mu, args.alpha, args.k, rule)
+    rhs = critical_rhs(args.n, args.alpha, args.k)
+    if K1 is None:
+        print(f"unsatisfiable: no admissible K1 reaches the critical level rhs={rhs:.6g}")
         return 1
-    print(f"K1_min={res.K1_min}")
-    print(f"K={','.join(str(k) for k in rule.ring_sizes(res.K1_min))} "
-          f"edge_prob={res.edge_prob_at_K1:.6f} rhs={res.rhs:.6f}")
+    params = ModelParams(n=args.n, mu=args.mu, K=rule.ring_sizes(K1), P=args.P,
+                         alpha=args.alpha)
+    print(f"K1_min={K1}")
+    print(f"K={','.join(str(k) for k in params.K)} "
+          f"edge_prob={mean_edge_prob_key(params, 1):.6f} rhs={rhs:.6f}")
     return 0
 
 

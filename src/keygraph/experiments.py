@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .analysis import is_k_connected, min_degree, vertex_connectivity
-from .model import ModelParams
+from .model import ModelParams, checked_int, checked_real
 from .rng import SeedSpec, derive_master
 from .sampler import sample_network
 from .threshold import KeyProfileRule, solve_threshold
@@ -42,11 +42,11 @@ CSV_COLUMNS = (
 _Z95 = 1.959963984540054
 
 
-def wilson_halfwidth(count: int, trials: int, z: float = _Z95) -> float:
-    """Half-width of the Wilson score interval for a binomial proportion."""
+def wilson_halfwidth(count: int, trials: int) -> float:
+    """Half-width of the 95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         return 0.0
-    p = count / trials
+    p, z = count / trials, _Z95
     denom = 1.0 + z * z / trials
     return (z / denom) * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
 
@@ -90,9 +90,9 @@ class ExperimentSpec:
             raise ValueError(f"unknown sweep kind {self.sweep_kind!r}")
         if not self.sweep_values:
             raise ValueError("sweep_values must be non-empty")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if not 0 <= self.master_seed < 2**64:
+        for key, low in (("trials", 1), ("master_seed", 0)):
+            object.__setattr__(self, key, checked_int(getattr(self, key), key, low))
+        if self.master_seed >= 2**64:
             raise ValueError("master_seed must lie in [0, 2^64)")
         if self.sweep_kind == "k":
             if self.k_list is not None:
@@ -100,21 +100,25 @@ class ExperimentSpec:
                                  "leave k_list unset")
         elif self.k_list is None:
             object.__setattr__(self, "k_list", (2,))
-        elif not self.k_list or any(int(k) != k or k < 1 for k in self.k_list):
+        elif not self.k_list:
             raise ValueError("k_list must hold positive integers")
+        else:
+            for k in self.k_list:
+                checked_int(k, "k_list", 1)
         if self.sweep_kind == "K1":
             if self.rule is None:
                 raise ValueError("a K1 sweep needs a key profile rule")
-            if any(int(v) != v or v < 2 for v in self.sweep_values):
-                raise ValueError("K1 sweep values must be integers >= 2")
+            for v in self.sweep_values:
+                checked_int(v, "K1 sweep value", 2)
         if self.sweep_kind == "alpha":
-            if any(not 0.0 < v <= 1.0 for v in self.sweep_values):
+            if any(not 0.0 < checked_real(v, "alpha sweep value") <= 1.0
+                   for v in self.sweep_values):
                 raise ValueError("alpha sweep values must lie in (0, 1]")
         if self.sweep_kind == "k":
-            if any(int(v) != v or v < 1 for v in self.sweep_values):
-                raise ValueError("k sweep values must be positive integers")
+            for v in self.sweep_values:
+                checked_int(v, "k sweep value", 1)
         if self.sweep_kind == "depth":
-            if any(int(v) != v or v < 0 or v > self.base.n - 2 for v in self.sweep_values):
+            if any(checked_int(v, "depth", 0) > self.base.n - 2 for v in self.sweep_values):
                 raise ValueError("depths must be integers in [0, n-2]")
             if not self.record.vertex_cut_curve:
                 raise ValueError("a depth sweep needs record.vertex_cut_curve")
@@ -246,7 +250,7 @@ def run_experiment(*specs: ExperimentSpec, workers: int = 1) -> ExperimentResult
             if spec.rule is not None:
                 key = (params.n, params.P, params.mu, params.alpha, k, spec.rule)
                 if key not in thresholds:
-                    thresholds[key] = solve_threshold(*key).K1_min
+                    thresholds[key] = solve_threshold(*key)
                 threshold_K1 = thresholds[key]
             rows.append(ExperimentRow(
                 experiment=spec.name,
@@ -270,18 +274,20 @@ def run_experiment(*specs: ExperimentSpec, workers: int = 1) -> ExperimentResult
 # Output formats
 
 
-def _fmt_float(x: Optional[float]) -> str:
-    return "" if x is None else f"{x:.6f}"
-
-
-def _fmt_int(x: Optional[int]) -> str:
-    return "" if x is None else str(int(x))
-
-
 def _fmt_value(x) -> str:
     if isinstance(x, (int,)) and not isinstance(x, bool):
         return str(x)
     return f"{float(x):.10g}"
+
+
+def _cell(column: str, value) -> str:
+    """One CSV cell: empty for None, ten significant digits for the swept
+    quantities, six decimals for other floats, ``str`` for the rest."""
+    if value is None:
+        return ""
+    if column in ("alpha", "sweep_value"):
+        return _fmt_value(value)
+    return f"{value:.6f}" if isinstance(value, float) else str(value)
 
 
 def iter_rows(result_or_results) -> list:
@@ -307,27 +313,10 @@ def write_csv(result_or_results, path) -> None:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
     with fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS.split(","))
+        columns = CSV_COLUMNS.split(",")
+        writer.writerow(columns)
         for r in rows:
-            writer.writerow([
-                r.experiment,
-                str(r.n),
-                str(r.P),
-                f"{r.alpha:.10g}",
-                str(r.k),
-                r.K_profile,
-                _fmt_value(r.sweep_value),
-                str(r.trials),
-                _fmt_int(r.count_mindeg),
-                _fmt_int(r.count_kconn),
-                _fmt_float(r.prob_mindeg),
-                _fmt_float(r.prob_kconn),
-                _fmt_float(r.ci_half),
-                _fmt_float(r.mean_delta),
-                _fmt_float(r.mean_kappa),
-                _fmt_int(r.threshold_K1),
-                str(r.master_seed),
-            ])
+            writer.writerow([_cell(c, getattr(r, c)) for c in columns])
 
 
 def write_dat(result_or_results, path, k: int) -> None:
@@ -400,13 +389,8 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     rule = None
     if sweep.get("rule") is not None:
         rule_d = _check_keys(sweep["rule"], "rule", {"kind", "values"}, ("kind", "values"))
-        values = _as_list(rule_d["values"], "rule.values", integer=True)
-        if rule_d["kind"] == "offsets":
-            rule = KeyProfileRule.offsets(*values)
-        elif rule_d["kind"] == "fixed_tail":
-            rule = KeyProfileRule.fixed_tail(*values)
-        else:
-            raise ValueError(f"unknown rule kind {rule_d['kind']!r}")
+        _as_list(rule_d["values"], "rule.values", integer=True)
+        rule = KeyProfileRule(**rule_d)
     record_d = _check_keys(d.get("record", {}), "record", {"vertex_cut_curve"})
     cut_curve = record_d.get("vertex_cut_curve", False)
     if not isinstance(cut_curve, bool):
@@ -480,16 +464,13 @@ def fig3_specs(trials: int = 200, master_seed: int = 0) -> list:
     return specs
 
 
-def fig4_specs(trials: int = 200, master_seed: int = 0,
-               design_ks: Sequence[int] = (8, 10, 12, 14)) -> list:
+def fig4_specs(trials: int = 200, master_seed: int = 0) -> list:
     """Deletion-survival curves for ring sizes solved from the critical rule."""
     specs = []
-    for k in design_ks:
-        sol = solve_threshold(_BASE_N, _BASE_P, _BASE_MU, 0.4, k, _STEP10)
-        if sol.K1_min is None:
-            raise ValueError(f"no admissible design for k={k}")
-        base = ModelParams(n=_BASE_N, mu=_BASE_MU,
-                           K=_STEP10.ring_sizes(sol.K1_min), P=_BASE_P, alpha=0.4)
+    for k in (8, 10, 12, 14):
+        K1 = solve_threshold(_BASE_N, _BASE_P, _BASE_MU, 0.4, k, _STEP10)
+        base = ModelParams(n=_BASE_N, mu=_BASE_MU, K=_STEP10.ring_sizes(K1),
+                           P=_BASE_P, alpha=0.4)
         specs.append(ExperimentSpec(
             name=f"fig4_k{k}", base=base, sweep_kind="depth",
             sweep_values=tuple(range(0, k)), rule=_STEP10,

@@ -7,11 +7,11 @@ with probability ``alpha``.  Two nodes can talk securely iff they share a key
 *and* the link between them is on.
 
 Everything in this module is deterministic: exact pairwise key-sharing
-probabilities, per-class mean edge probabilities, the deviation of a
-parameter point from the critical connectivity scaling, and the
-admissibility rule.  Probability ratios are accumulated in exact rational
-arithmetic and rounded to a float once, so results are reproducible to the
-last bit and match enumeration oracles exactly.
+probabilities, per-class mean edge probabilities, the critical level of the
+k-connectivity zero-one law and a point's deviation from it, and the
+admissibility rule.  A share probability is a ratio of integer binomial
+coefficients, divided once, so it is the exact value correctly rounded to a
+float: reproducible to the last bit and equal to enumeration oracles.
 
 Class indices are 1-based throughout, mirroring the usual statement of the
 model (class 1 has the smallest key ring).
@@ -20,10 +20,31 @@ model (class 1 has the smallest key ring).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 
 MU_SUM_TOL = 1e-12
+
+
+def checked_int(value, name: str, low: int) -> int:
+    """``value`` as an int once it is an integer >= ``low``.
+
+    A bool, a string, a float with a fraction and an infinity are not.
+    """
+    try:
+        ok = not isinstance(value, bool) and int(value) == value and value >= low
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def checked_real(value, name: str) -> float:
+    """``value`` as a float once it is a real number; a bool or a string is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -48,12 +69,10 @@ class ModelParams:
     alpha: float
 
     def __init__(self, n, mu, K, P, alpha):
-        mu = tuple(float(m) for m in mu)
-        K = tuple(int(k) for k in K)
-        if int(n) != n or n < 2:
-            raise ValueError("n must be an integer >= 2")
-        if int(P) != P or P < 1:
-            raise ValueError("P must be a positive integer")
+        n = checked_int(n, "n", 2)
+        P = checked_int(P, "P", 1)
+        mu = tuple(checked_real(m, "mu") for m in mu)
+        K = tuple(checked_int(k, "K", 1) for k in K)
         if len(K) < 1 or len(mu) != len(K):
             raise ValueError("mu and K must be non-empty and the same length")
         if not all(math.isfinite(m) and m > 0 for m in mu):
@@ -61,19 +80,17 @@ class ModelParams:
         total = math.fsum(mu)
         if abs(total - 1.0) > MU_SUM_TOL:
             raise ValueError(f"class probabilities sum to {total!r}, not 1")
-        if any(k < 1 for k in K):
-            raise ValueError("every key ring size must be a positive integer")
         if any(K[i] > K[i + 1] for i in range(len(K) - 1)):
             raise ValueError("key ring sizes must be non-decreasing")
         if K[-1] > P:
             raise ValueError("largest key ring exceeds the pool size")
-        alpha = float(alpha)
+        alpha = checked_real(alpha, "alpha")
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "K", K)
-        object.__setattr__(self, "P", int(P))
+        object.__setattr__(self, "P", P)
         object.__setattr__(self, "alpha", alpha)
 
     @property
@@ -92,27 +109,21 @@ def _check_class_index(params: ModelParams, i: int) -> None:
         raise IndexError(f"class index {i} out of range 1..{params.r}")
 
 
-def _no_share_fraction(P: int, Ki: int, Kj: int) -> Fraction:
-    # Telescoping product for C(P-Ki, Kj) / C(P, Kj); never forms factorials.
-    prod = Fraction(1)
-    for t in range(Kj):
-        prod *= Fraction(P - Ki - t, P - t)
-    return prod
-
-
 def edge_prob_key(params: ModelParams, i: int, j: int) -> float:
     """Probability that a class-i and a class-j node share at least one key.
 
     Exactly 1 when the two rings cannot avoid overlapping (K_i + K_j > P);
-    otherwise one minus the no-overlap ratio, evaluated as an exact rational
-    telescoping product and rounded once to a float.  Symmetric in (i, j).
+    otherwise 1 - C(P-K_i, K_j) / C(P, K_j), taken as one integer true
+    division of C(P, K_j) - C(P-K_i, K_j) by C(P, K_j), which Python rounds
+    once, correctly.  Symmetric in (i, j).
     """
     _check_class_index(params, i)
     _check_class_index(params, j)
     Ki, Kj = params.K[i - 1], params.K[j - 1]
     if Ki + Kj > params.P:
         return 1.0
-    return float(1 - _no_share_fraction(params.P, Ki, Kj))
+    total = math.comb(params.P, Kj)
+    return (total - math.comb(params.P - Ki, Kj)) / total
 
 
 def mean_edge_prob_key(params: ModelParams, i: int) -> float:
@@ -128,18 +139,26 @@ def mean_edge_prob(params: ModelParams, i: int) -> float:
     return params.alpha * mean_edge_prob_key(params, i)
 
 
-def deviation_from_critical(params: ModelParams, k: int) -> float:
-    """Deviation of the class-1 mean degree from the critical k-connectivity scaling.
+def critical_rhs(n: int, alpha: float, k: int) -> float:
+    """Critical level (log n + (k-1) log log n) / (alpha n), natural logs.
 
-    Positive values put the parameter point on the connected ("one-law") side,
-    negative on the disconnected ("zero-law") side.  Natural logarithms.
+    A point lies on the connected ("one-law") side of the k-connectivity
+    scaling iff its class-1 mean key-edge probability strictly exceeds it.
     """
-    if params.n < 3:
-        raise ValueError("deviation requires n >= 3 (log log n must be positive)")
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    n = params.n
-    return n * mean_edge_prob(params, 1) - math.log(n) - (k - 1) * math.log(math.log(n))
+    checked_int(n, "n", 3)  # log log n must be positive
+    checked_int(k, "k", 1)
+    if not 0.0 < checked_real(alpha, "alpha") <= 1.0:
+        raise ValueError("alpha must lie in (0, 1]")
+    return (math.log(n) + (k - 1) * math.log(math.log(n))) / (n * alpha)
+
+
+def deviation_from_critical(params: ModelParams, k: int) -> float:
+    """n alpha (mean_edge_prob_key(params, 1) - critical_rhs): the class-1
+    mean secure degree's distance from its critical level.  Positive exactly
+    on the connected side, where ``solve_threshold``'s inequality holds.
+    """
+    n, alpha = params.n, params.alpha
+    return n * alpha * (mean_edge_prob_key(params, 1) - critical_rhs(n, alpha, k))
 
 
 def admissible(K, P: int) -> bool:

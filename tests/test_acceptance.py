@@ -33,7 +33,7 @@ def _report(cid: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_threshold_reproduction():
     t0 = time.perf_counter()
-    got = {k: solve_threshold(500, 10**4, (0.5, 0.5), 0.4, k, STEP10).K1_min
+    got = {k: solve_threshold(500, 10**4, (0.5, 0.5), 0.4, k, STEP10)
            for k in (8, 10, 12, 14)}
     elapsed = time.perf_counter() - t0
     expect = {8: 30, 10: 33, 12: 36, 14: 38}
@@ -104,7 +104,7 @@ def test_criterion_3_transition_bands_and_event_coincidence():
     fails = []
     details = []
     for alpha in (0.2, 0.4, 0.6, 0.8):
-        thr = solve_threshold(500, 10**4, (0.5, 0.5), alpha, 2, STEP10).K1_min
+        thr = solve_threshold(500, 10**4, (0.5, 0.5), alpha, 2, STEP10)
         for K1, bound, side in ((thr - 8, 0.05, "low"), (thr + 8, 0.95, "high")):
             base = ModelParams(n=500, mu=(0.5, 0.5), K=STEP10.ring_sizes(K1),
                                P=10**4, alpha=alpha)

@@ -105,6 +105,23 @@ class TestSpecValidation:
         assert mini_spec(sweep_kind="k", sweep_values=(1, 2), rule=None,
                          k_list=None).k_list is None
 
+    @pytest.mark.parametrize("kw,match", [
+        (dict(trials=2.5), "trials"), (dict(trials=True), "trials"),
+        (dict(master_seed=1.5), "master_seed"), (dict(master_seed="3"), "master_seed"),
+        (dict(k_list=(2, math.inf)), "k_list"), (dict(sweep_values=(3, math.inf)), "K1"),
+        (dict(sweep_kind="alpha", rule=None, sweep_values=("0.5",)), "alpha")])
+    def test_rejects_what_it_used_to_coerce(self, kw, match):
+        # fractional trials and seeds used to pass here and fail with
+        # TypeError inside a run; an infinity raised OverflowError and a
+        # string alpha TypeError
+        with pytest.raises(ValueError, match=match):
+            mini_spec(**kw)
+
+    def test_integral_counts_become_ints(self):
+        spec = mini_spec(trials=3.0, master_seed=5.0)
+        assert (spec.trials, spec.master_seed) == (3, 5)
+        assert type(spec.trials) is type(spec.master_seed) is int
+
     def test_accepts_the_64_bit_seed_edges(self):
         for seed in (0, 2**64 - 1):
             assert mini_spec(master_seed=seed).master_seed == seed
@@ -221,8 +238,8 @@ class TestRunExperiment:
         rows = run_experiment(spec).rows
         assert len(calls) == solves
         for row in rows:
-            sol = solve(row.n, row.P, spec.base.mu, row.alpha, row.k, spec.rule)
-            assert row.threshold_K1 == sol.K1_min
+            assert row.threshold_K1 == solve(row.n, row.P, spec.base.mu,
+                                             row.alpha, row.k, spec.rule)
 
     def test_trial_stats_match_direct_evaluation(self):
         # recompute one row by hand from the same seeds

@@ -1,5 +1,6 @@
 """Exact model quantities against enumeration oracles and frozen values."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from keygraph import (ModelParams, admissible, deviation_from_critical,
                       edge_prob_key, mean_edge_prob, mean_edge_prob_key)
 from keygraph.cli import main
+from keygraph.model import critical_rhs
 from oracles import (binomial_ratio_share_prob, enumerate_low_degree_expectation,
                      enumerate_share_prob, low_degree_expectation)
 
@@ -56,6 +58,17 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             ModelParams(n=1, mu=(1.0,), K=(2,), P=10, alpha=0.5)
 
+    @pytest.mark.parametrize("field,value", [
+        ("K", (2.7,)), ("K", "5"), ("mu", "1"), ("P", True),
+        ("n", math.inf), ("alpha", "0.5"), ("alpha", True)])
+    def test_rejects_what_it_used_to_coerce(self, field, value):
+        # a fraction was truncated, a string or a bool read as a number, and
+        # an infinite n raised OverflowError
+        args = dict(n=10, mu=(1.0,), K=(2,), P=10, alpha=0.5)
+        args[field] = value
+        with pytest.raises(ValueError, match=f"^{field} "):
+            ModelParams(**args)
+
 
 class TestEdgeProbKey:
     def test_pool6_rings_2_3(self):
@@ -89,15 +102,16 @@ class TestEdgeProbKey:
         p = ModelParams(n=5, mu=(0.5, 0.5), K=(lo, hi), P=P, alpha=0.5)
         assert edge_prob_key(p, 1, 2) == float(enumerate_share_prob(P, lo, hi))
 
-    @given(st.integers(2, 60), st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_product_form_equals_binomial_ratio(self, P, data):
-        Ki = data.draw(st.integers(1, max(1, P // 2)))
-        Kj = data.draw(st.integers(1, max(1, P // 2)))
-        lo, hi = sorted((Ki, Kj))
-        p = ModelParams(n=5, mu=(0.5, 0.5), K=(lo, hi), P=P, alpha=0.5)
-        expect = float(binomial_ratio_share_prob(P, lo, hi))
-        assert edge_prob_key(p, 1, 2) == pytest.approx(expect, abs=1e-12)
+    def test_product_form_equals_binomial_ratio(self):
+        # bit for bit: every ring pair up to P/2 for P <= 60, and at the
+        # figures' P = 10^4 every pair of rings up to 60 keys and half the pool
+        grids = [(P, range(1, P // 2 + 1)) for P in range(2, 61)]
+        grids.append((10**4, [*range(1, 61), 5000]))
+        for P, sizes in grids:
+            for lo, hi in itertools.combinations_with_replacement(sizes, 2):
+                p = ModelParams(n=5, mu=(0.5, 0.5), K=(lo, hi), P=P, alpha=0.5)
+                expect = float(binomial_ratio_share_prob(P, lo, hi))
+                assert edge_prob_key(p, 1, 2) == expect, (P, lo, hi)
 
     @given(st.integers(2, 40), st.data())
     @settings(max_examples=60, deadline=None)
@@ -192,6 +206,17 @@ class TestDeviation:
         p = ModelParams(n=2, mu=(1.0,), K=(2,), P=10, alpha=0.5)
         with pytest.raises(ValueError):
             deviation_from_critical(p, 1)
+
+    @pytest.mark.parametrize("n,alpha,k", [(2, 0.5, 1), (500, 0.0, 1), (500, 0.5, 0),
+                                           (500, 0.5, 1.5), (math.inf, 0.5, 1)])
+    def test_critical_level_checks_its_arguments(self, n, alpha, k):
+        with pytest.raises(ValueError):
+            critical_rhs(n, alpha, k)
+
+    def test_deviation_is_scaled_excess_over_critical_level(self):
+        p = ModelParams(n=500, mu=(0.5, 0.5), K=(30, 40), P=10**4, alpha=0.4)
+        excess = mean_edge_prob_key(p, 1) - critical_rhs(500, 0.4, 8)
+        assert deviation_from_critical(p, 8) == 500 * 0.4 * excess
 
 
 class TestScalingReport:

@@ -8,6 +8,7 @@ import keygraph.cli
 from keygraph import (KeyProfileRule, ModelParams, deviation_from_critical,
                       mean_edge_prob_key, solve_threshold)
 from keygraph.cli import main
+from keygraph.model import critical_rhs
 
 STEP10 = KeyProfileRule.offsets(0, 10)
 
@@ -38,6 +39,19 @@ class TestRule:
         rule = KeyProfileRule.fixed_tail(40, 50)
         assert rule.ring_sizes(20) == (20, 40, 50)
 
+    @pytest.mark.parametrize("kind,values", [
+        ("bogus", (5,)), ("offsets", (3, 1)), ("offsets", ()), ("offsets", (0, 5, 3)),
+        ("offsets", (0, 2.5)), ("fixed_tail", (0,)), ("fixed_tail", (4, 3))])
+    def test_constructor_checks_itself(self, kind, values):
+        # an unknown kind used to act as a fixed tail, and offsets that do
+        # not start at 0 gave decreasing rings
+        with pytest.raises(ValueError):
+            KeyProfileRule(kind, values)
+
+    def test_constructor_normalises_values(self):
+        assert KeyProfileRule("offsets", [0, 10.0]) == STEP10
+        assert hash(KeyProfileRule("offsets", [0, 10])) == hash(STEP10)
+
     def test_labels(self):
         assert STEP10.profile_label() == "offsets:0,10"
         assert KeyProfileRule.fixed_tail(40).profile_label() == "fixed_tail:40"
@@ -46,15 +60,13 @@ class TestRule:
 class TestSolver:
     @pytest.mark.parametrize("k,expected", [(8, 30), (10, 33), (12, 36), (14, 38)])
     def test_published_design_values(self, k, expected):
-        res = solve_threshold(500, 10**4, (0.5, 0.5), 0.4, k, STEP10)
-        assert res.K1_min == expected
+        assert solve_threshold(500, 10**4, (0.5, 0.5), 0.4, k, STEP10) == expected
 
     def test_single_class_small_target(self):
         # frozen: smallest K with share probability above log(500)/500 is 12,
         # verified against the rational product at solve time
         rule = KeyProfileRule.offsets(0)
-        res = solve_threshold(500, 10**4, (1.0,), 1.0, 1, rule)
-        assert res.K1_min == 12
+        assert solve_threshold(500, 10**4, (1.0,), 1.0, 1, rule) == 12
         below = ModelParams(n=500, mu=(1.0,), K=(11,), P=10**4, alpha=1.0)
         at = ModelParams(n=500, mu=(1.0,), K=(12,), P=10**4, alpha=1.0)
         rhs = math.log(500) / 500
@@ -62,18 +74,18 @@ class TestSolver:
 
     @pytest.mark.parametrize("k", [8, 10, 12, 14])
     def test_minimality(self, k):
-        res = solve_threshold(500, 10**4, (0.5, 0.5), 0.4, k, STEP10)
-        down = ModelParams(n=500, mu=(0.5, 0.5), K=STEP10.ring_sizes(res.K1_min - 1),
-                           P=10**4, alpha=0.4)
-        assert mean_edge_prob_key(down, 1) <= res.rhs
-        assert res.edge_prob_at_K1 > res.rhs
+        K1 = solve_threshold(500, 10**4, (0.5, 0.5), 0.4, k, STEP10)
+        at = ModelParams(n=500, mu=(0.5, 0.5), K=STEP10.ring_sizes(K1),
+                         P=10**4, alpha=0.4)
+        rhs = critical_rhs(500, 0.4, k)
+        assert mean_edge_prob_key(at.replace(K=STEP10.ring_sizes(K1 - 1)), 1) <= rhs
+        assert mean_edge_prob_key(at, 1) > rhs
 
     def test_solver_classifier_coherence(self, capsys):
-        res = solve_threshold(500, 10**4, (0.5, 0.5), 0.4, 8, STEP10)
-        at = ModelParams(n=500, mu=(0.5, 0.5), K=STEP10.ring_sizes(res.K1_min),
+        K1 = solve_threshold(500, 10**4, (0.5, 0.5), 0.4, 8, STEP10)
+        at = ModelParams(n=500, mu=(0.5, 0.5), K=STEP10.ring_sizes(K1),
                          P=10**4, alpha=0.4)
-        below = ModelParams(n=500, mu=(0.5, 0.5), K=STEP10.ring_sizes(res.K1_min - 1),
-                            P=10**4, alpha=0.4)
+        below = at.replace(K=STEP10.ring_sizes(K1 - 1))
         assert deviation_from_critical(at, 8) > 0
         assert deviation_from_critical(below, 8) < 0
         assert prob_side_line(capsys, at, 8).endswith(" side=above")
@@ -81,24 +93,20 @@ class TestSolver:
 
     def test_monotone_in_k_and_alpha(self):
         ks = [2, 4, 6, 8, 10, 12, 14]
-        sols = [solve_threshold(500, 10**4, (0.5, 0.5), 0.4, k, STEP10).K1_min
-                for k in ks]
+        sols = [solve_threshold(500, 10**4, (0.5, 0.5), 0.4, k, STEP10) for k in ks]
         assert all(a <= b for a, b in zip(sols, sols[1:]))
         alphas = [0.2, 0.4, 0.6, 0.8, 1.0]
-        sols = [solve_threshold(500, 10**4, (0.5, 0.5), a, 8, STEP10).K1_min
-                for a in alphas]
+        sols = [solve_threshold(500, 10**4, (0.5, 0.5), a, 8, STEP10) for a in alphas]
         assert all(a >= b for a, b in zip(sols, sols[1:]))
 
     def test_unsatisfiable_pool(self):
         # a 12-key pool cannot reach the critical level for k=40 at n=500
-        res = solve_threshold(500, 12, (0.5, 0.5), 0.05, 40, STEP10)
-        assert res.K1_min is None and res.edge_prob_at_K1 is None
+        assert solve_threshold(500, 12, (0.5, 0.5), 0.05, 40, STEP10) is None
 
     def test_fixed_tail_scan_respects_ordering(self):
         rule = KeyProfileRule.fixed_tail(4)
         # tail of 4 caps K1; with a tiny pool nothing satisfies k=30
-        res = solve_threshold(500, 40, (0.5, 0.5), 0.1, 30, rule)
-        assert res.K1_min is None
+        assert solve_threshold(500, 40, (0.5, 0.5), 0.1, 30, rule) is None
 
 
 class TestClassifier:
