@@ -19,8 +19,10 @@ sink t with b paths to distinct tied nodes, disjoint apart from t, is tied
 too: a separator of fewer than b nodes that avoids s and t misses one whole
 path, whose tied end still reaches s.  So kappa(s, t) >= b, t cannot lower
 b, and its matching is skipped.  A tie stays valid when b falls.  The paths
-are single edges to tied neighbors, counted for every node at once, and
-then two-hop paths t, w, z found greedily by :func:`_fan`.  A pair (x, y)
+are single edges to tied neighbors, counted incrementally by
+:class:`_Ties` (each new tie adds one to the count of each of its
+neighbors, and a node whose count reaches b is tied in turn), and then
+two-hop paths t, w, z found greedily by :func:`_fan`.  A pair (x, y)
 of neighbors of s, part (b), is skipped when :func:`_fan` finds b paths
 y, z, x or y, w, z, x that are disjoint apart from x and y: kappa(x, y) >= b
 by Menger.  Only pairs that cannot lower b are skipped, so the first pair of
@@ -93,11 +95,6 @@ class Graph:
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        nb = self.neighbors(u)
-        i = np.searchsorted(nb, v)
-        return i < nb.size and nb[i] == v
 
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
@@ -207,29 +204,63 @@ def _cut_from_flow(g: Graph, mat: csr_matrix, flow, src: int) -> np.ndarray:
     return np.flatnonzero(reach[0::2] & ~reach[1::2]).astype(np.int32)
 
 
-def _fan(g: Graph, t: int, ends: np.ndarray, need: int) -> int:
+def _fan(adj: list, t: int, ends: list, need: int) -> int:
     """Disjoint paths from ``t`` to distinct nodes of ``ends``, at most ``need``.
 
     Greedy: first every neighbor z of t in ``ends`` (path t, z), then for
     each other neighbor w of t the first node z of ``ends`` next to w that
-    is neither a neighbor of t nor an end already taken (path t, w, z).
+    is neither t, a neighbor of t nor an end already taken (path t, w, z).
     The paths meet only at t, so the count is a lower bound on the largest
-    such fan.  ``ends`` is a boolean node mask without t, and is only read.
+    such fan.  ``adj`` holds each node's neighbor list; ``ends`` is a node
+    mask (a list), only read, and t never counts as an end.
     """
-    nt = g.neighbors(t)
-    direct = ends[nt]
-    found = int(np.count_nonzero(direct))
-    taken = set(nt.tolist())
-    for w in nt[~direct].tolist():
+    nt = adj[t]
+    others = [w for w in nt if not ends[w]]
+    found, taken = len(nt) - len(others), {t, *nt}
+    for w in others:
         if found >= need:
             break
-        nw = g.neighbors(w)
-        for z in nw[ends[nw]].tolist():
-            if z not in taken:
+        for z in adj[w]:
+            if ends[z] and z not in taken:
                 taken.add(z)
                 found += 1
                 break
     return min(found, need)
+
+
+class _Ties:
+    """The nodes tied to s (module docstring) under a bound b that only falls.
+
+    ``add`` ties a node not yet tied.  ``close(b)`` then ties every node with
+    at least b tied neighbors, to the least fixpoint, counting each tie once
+    over its neighbor list; when b has fallen, one scan first ties the
+    nodes already at it.  ``tied`` is the node mask, a list.
+    """
+
+    def __init__(self, adj: list, seeds):
+        n = len(adj)
+        self.adj, self.level = adj, n  # above any b: the first close scans
+        self.tied, self.count, self.queue = [False] * n, [0] * n, []
+        for v in seeds:
+            self.add(v)
+
+    def add(self, v: int) -> None:
+        self.tied[v] = True
+        self.queue.append(v)  # counted at the next close
+
+    def close(self, b: int) -> None:
+        tied, count, queue = self.tied, self.count, self.queue
+        if b < self.level:
+            self.level = b
+            for v, c in enumerate(count):
+                if c >= b and not tied[v]:
+                    self.add(v)
+        while queue:
+            for v in self.adj[queue.pop()]:
+                count[v] += 1
+                if count[v] >= b and not tied[v]:
+                    tied[v] = True
+                    queue.append(v)
 
 
 def _weakest_pair(g: Graph, stop_below: int | None = None) -> tuple:
@@ -239,47 +270,45 @@ def _weakest_pair(g: Graph, stop_below: int | None = None) -> tuple:
     minimum-degree node s (ascending), then every non-adjacent pair of
     neighbors of s (ascending lexicographic).  Only a strictly smaller value
     replaces the best pair, so a pair that a fan proves at least b (module
-    docstring) is skipped: a sink that is tied or has ``_fan(g, t, tied, b)
-    >= b``, and a pair (x, y) with ``_fan(g, y, N(x), b) >= b``.
+    docstring) is skipped: a sink that is tied or has ``_fan(adj, t, tied,
+    b) >= b``, and a pair (x, y) with ``_fan(adj, y, N(x), b) >= b``.  The
+    neighbor lists ``adj`` are built once per call, and the tied set is
+    closed incrementally before each sink: only the new ties are counted,
+    never the whole adjacency.
     The loop stops at a proven lower bound: 1 (connected), or 2 once the
     graph is known biconnected.  With ``stop_below`` = k the bound b starts
     at k and the loop stops at the first pair below it; if none is, the
     result is ``(k, None)``.  Needs a connected, non-complete graph.
     """
-    n, deg = g.n, g.degrees
-    s = int(np.argmin(deg))
-    nb = g.neighbors(s)
-    adj = _adjacency(g)
-    tied, count = np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int32)
-    fresh = np.zeros(n, dtype=bool)
-    fresh[nb] = True
-    near, row = np.zeros(n, dtype=bool), None  # near is N(row)
-    sinks = np.flatnonzero(~fresh)
+    n, ptr, idx = g.n, g.indptr.tolist(), g.indices.tolist()
+    adj = [idx[ptr[v]:ptr[v + 1]] for v in range(n)]
+    s = int(np.argmin(g.degrees))
+    nb = adj[s]
+    ties = _Ties(adj, nb)
+    tied = ties.tied
+    near, row = None, None  # near is N(row)
     pairs = itertools.chain(
-        ((s, t) for t in sinks[sinks != s].tolist()),
-        ((int(u), int(v)) for i, u in enumerate(nb) for v in nb[i + 1:]
-         if not g.has_edge(u, v)))
+        [(s, t) for t in range(n) if t != s and not tied[t]],  # tied is N(s)
+        ((u, v) for i, u in enumerate(nb) for nu in [set(adj[u])]
+         for v in nb[i + 1:] if v not in nu))
     local = _LocalConnectivity(g)
     # kappa(s, t) <= delta, so delta + 1 lets the first sink set the pair.
-    best = int(deg[s]) + 1 if stop_below is None else stop_below
+    best = len(nb) + 1 if stop_below is None else stop_below
     pair = None
     for src, dst in pairs:
         if src == s:
-            while fresh.any():  # tie them, then every node they prove
-                tied |= fresh
-                count += adj @ fresh
-                fresh = ~tied & (count >= best)
+            ties.close(best)
             if tied[dst]:
                 continue
-            fresh[dst] = True  # proven below or matched: kappa(s, dst) >= best
+            ties.add(dst)  # proven below or matched: kappa(s, dst) >= best
             ends = tied
         else:
             if src != row:
-                near[:] = False
-                near[g.neighbors(src)] = True
-                row = src
+                near, row = [False] * n, src
+                for v in adj[src]:
+                    near[v] = True
             ends = near
-        if _fan(g, dst, ends, best) >= best:
+        if _fan(adj, dst, ends, best) >= best:
             continue
         value = local(src, dst)
         if value < best:

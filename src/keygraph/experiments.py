@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .analysis import is_k_connected, min_degree, vertex_connectivity
-from .model import ModelParams, checked_int, checked_real
+from .model import ModelParams, checked_int, checked_real, checked_tuple
 from .rng import SeedSpec, derive_master
 from .sampler import sample_network
 from .threshold import KeyProfileRule, solve_threshold
@@ -88,6 +88,8 @@ class ExperimentSpec:
                              f"NUL, got {self.name!r}")
         if self.sweep_kind not in ("K1", "alpha", "k", "depth"):
             raise ValueError(f"unknown sweep kind {self.sweep_kind!r}")
+        object.__setattr__(self, "sweep_values",
+                           checked_tuple(self.sweep_values, "sweep_values"))
         if not self.sweep_values:
             raise ValueError("sweep_values must be non-empty")
         for key, low in (("trials", 1), ("master_seed", 0)):
@@ -100,9 +102,10 @@ class ExperimentSpec:
                                  "leave k_list unset")
         elif self.k_list is None:
             object.__setattr__(self, "k_list", (2,))
-        elif not self.k_list:
-            raise ValueError("k_list must hold positive integers")
         else:
+            object.__setattr__(self, "k_list", checked_tuple(self.k_list, "k_list"))
+            if not self.k_list:
+                raise ValueError("k_list must hold positive integers")
             for k in self.k_list:
                 checked_int(k, "k_list", 1)
         if self.sweep_kind == "K1":

@@ -40,6 +40,13 @@ def checked_int(value, name: str, low: int) -> int:
     return int(value)
 
 
+def checked_tuple(value, name: str) -> tuple:
+    """``value`` as a tuple once it is a sequence; a scalar or a string is not."""
+    if isinstance(value, str) or not hasattr(value, "__iter__"):
+        raise ValueError(f"{name} must be a sequence, got {value!r}")
+    return tuple(value)
+
+
 def checked_real(value, name: str) -> float:
     """``value`` as a float once it is a real number; a bool or a string is not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -71,8 +78,8 @@ class ModelParams:
     def __init__(self, n, mu, K, P, alpha):
         n = checked_int(n, "n", 2)
         P = checked_int(P, "P", 1)
-        mu = tuple(checked_real(m, "mu") for m in mu)
-        K = tuple(checked_int(k, "K", 1) for k in K)
+        mu = tuple(checked_real(m, "mu") for m in checked_tuple(mu, "mu"))
+        K = tuple(checked_int(k, "K", 1) for k in checked_tuple(K, "K"))
         if len(K) < 1 or len(mu) != len(K):
             raise ValueError("mu and K must be non-empty and the same length")
         if not all(math.isfinite(m) and m > 0 for m in mu):

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import (ModelParams, admissible, checked_int, critical_rhs,
-                    mean_edge_prob_key)
+from .model import (ModelParams, admissible, checked_int, checked_tuple,
+                    critical_rhs, mean_edge_prob_key)
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,8 @@ class KeyProfileRule:
         if self.kind not in ("offsets", "fixed_tail"):
             raise ValueError(f"unknown rule kind {self.kind!r}")
         low = 0 if self.kind == "offsets" else 1
-        values = tuple(checked_int(v, f"{self.kind} values", low) for v in self.values)
+        name = f"{self.kind} values"
+        values = tuple(checked_int(v, name, low) for v in checked_tuple(self.values, name))
         if self.kind == "offsets" and values[:1] != (0,):
             raise ValueError("offsets must start with 0 for the free class")
         if any(a > b for a, b in zip(values, values[1:])):

@@ -15,7 +15,8 @@ from keygraph import (Graph, ModelParams, SeedSpec, is_connected,
                       is_k_connected, min_degree, sample_network,
                       vertex_connectivity)
 from keygraph.analysis import (_fan, _is_biconnected, _LocalConnectivity,
-                               component_count)
+                               _Ties, component_count)
+from keygraph.experiments import fig4_specs
 from oracles import (brute_local_connectivity, brute_min_cuts,
                      brute_vertex_connectivity, connected_after_removal)
 
@@ -70,6 +71,35 @@ def even_tarjan_pairs(g):
     nb = sorted(adj[s])
     return ([(s, t) for t in range(g.n) if t != s and t not in adj[s]]
             + [(u, v) for u, v in itertools.combinations(nb, 2) if v not in adj[u]])
+
+
+def neighbor_lists(g):
+    """Each node's neighbors as a list, the form _fan walks."""
+    return [g.neighbors(v).tolist() for v in range(g.n)]
+
+
+class MatVecTies:
+    """The tie closure as a whole-adjacency fixpoint, one CSR mat-vec per
+    wave: the reference for _Ties.  add marks an untied node fresh; close(b)
+    ties the fresh nodes, adds their rows to every count, and repeats with
+    the untied nodes whose count reaches b.  A fall of b is seen only by a
+    close with a fresh node, so the tests run it from scratch."""
+
+    def __init__(self, g):
+        self.adj = csr_matrix((np.ones(g.indices.size, dtype=np.int32),
+                               g.indices, g.indptr), shape=(g.n, g.n))
+        self.tied = np.zeros(g.n, dtype=bool)
+        self.count = np.zeros(g.n, dtype=np.int32)
+        self.fresh = np.zeros(g.n, dtype=bool)
+
+    def add(self, v):
+        self.fresh[v] = True
+
+    def close(self, b):
+        while self.fresh.any():
+            self.tied |= self.fresh
+            self.count += self.adj @ self.fresh
+            self.fresh = ~self.tied & (self.count >= b)
 
 
 def count_calls(monkeypatch, *names):
@@ -281,9 +311,9 @@ class TestVertexConnectivity:
         s = int(np.argmin(g.degrees))
         sinks_proven = []
 
-        def fan(g, t, ends, need, _fan=keygraph.analysis._fan):
-            found = _fan(g, t, ends, need)
-            if found >= need and not g.has_edge(s, t):
+        def fan(adj, t, ends, need, _fan=keygraph.analysis._fan):
+            found = _fan(adj, t, ends, need)
+            if found >= need and t not in adj[s]:
                 sinks_proven.append(t)
             return found
 
@@ -316,7 +346,7 @@ class TestLocalConnectivity:
         local = _LocalConnectivity(g)
         for s in range(g.n):
             for t in range(g.n):
-                if s != t and not g.has_edge(s, t):
+                if s != t and t not in g.neighbors(s):
                     assert local(s, t) == brute_local_connectivity(g.n, g.edges, s, t)
 
     def test_is_k_connected_agrees_with_kappa_on_samples(self, monkeypatch):
@@ -340,43 +370,90 @@ class TestLocalConnectivity:
             for k in range(3, min_degree(g) + 2):
                 assert is_k_connected(g, k) == (kappa >= k)
 
+    def test_matchings_per_call_are_pinned(self, monkeypatch):
+        # the fig4 designs at the seeds above: the matchings one
+        # vertex_connectivity call and one is_k_connected(g, kappa) call
+        # run, so a change that moves a skip decision shows here
+        calls = count_calls(monkeypatch, "maximum_bipartite_matching")
+        pinned = {(8, 7): (6, 2, 1), (8, 8): (7, 4, 4),
+                  (10, 7): (12, 6, 6), (10, 8): (13, 17, 17),
+                  (12, 7): (14, 3, 3), (12, 8): (13, 7, 6),
+                  (14, 7): (18, 9, 9), (14, 8): (16, 3, 3)}
+        got = {}
+        for spec in fig4_specs(trials=1):
+            for seed in (7, 8):
+                g = sample_network(spec.base, SeedSpec(seed, 0)).graph()
+                calls["maximum_bipartite_matching"] = 0
+                kappa = vertex_connectivity(g)[0]
+                kappa_calls = calls["maximum_bipartite_matching"]
+                calls["maximum_bipartite_matching"] = 0
+                assert is_k_connected(g, kappa)
+                got[spec.k_list[0], seed] = (
+                    kappa, kappa_calls, calls["maximum_bipartite_matching"])
+        assert got == pinned
+
+
+class TestTies:
+    """The incremental tie closure against the mat-vec fixpoint."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_tied_set_equals_the_matvec_fixpoint(self, data):
+        # seeds join between closes and the bound only falls, as in the pair
+        # loop, and may fall with no new seed; the reference closes all the
+        # seeds so far from scratch at the current bound
+        g = data.draw(small_graphs(min_n=2, max_n=12))
+        ties, seeds, b = _Ties(neighbor_lists(g), []), set(), g.n
+        for _ in range(data.draw(st.integers(1, 5))):
+            b = data.draw(st.integers(1, b))
+            for v in sorted(data.draw(st.sets(st.integers(0, g.n - 1)))):
+                if not ties.tied[v]:
+                    ties.add(v)
+                seeds.add(v)
+            ties.close(b)
+            ref = MatVecTies(g)
+            for v in seeds:
+                ref.add(v)
+            ref.close(b)
+            assert ties.tied == ref.tied.tolist()
+            assert ties.count == ref.count.tolist()
+
 
 class TestFan:
     """The greedy two-hop fan that proves pairs without a matching."""
 
     @staticmethod
     def mask(n, nodes):
-        ends = np.zeros(n, dtype=bool)
-        ends[list(nodes)] = True
-        return ends
+        return [v in nodes for v in range(n)]
 
     def test_two_neighbours_with_one_shared_end_count_once(self):
         # 1 and 2 both reach only the end 3
         g = graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        assert _fan(g, 0, self.mask(4, [3]), 5) == 1
+        assert _fan(neighbor_lists(g), 0, self.mask(4, [3]), 5) == 1
 
     def test_direct_ends_and_two_hop_paths_add_up(self):
         # ends 1 and 2 next to 0, then 0-3-5 (3 also reaches the taken end
         # 1) and 0-4-6
         g = graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (3, 5), (4, 6), (3, 1)])
-        assert _fan(g, 0, self.mask(7, [1, 2, 5, 6]), 9) == 4
+        assert _fan(neighbor_lists(g), 0, self.mask(7, [1, 2, 5, 6]), 9) == 4
 
     def test_a_neighbour_end_is_never_a_second_hop(self):
         # the end 1 is next to 0 and to 2; it counts once, as 0-1
         g = graph(3, [(0, 1), (0, 2), (1, 2)])
-        assert _fan(g, 0, self.mask(3, [1]), 3) == 1
+        assert _fan(neighbor_lists(g), 0, self.mask(3, [1]), 3) == 1
 
     def test_count_stops_at_need(self):
         g = graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (3, 5), (4, 6)])
         ends = self.mask(7, [1, 2, 5, 6])
-        assert [_fan(g, 0, ends, need) for need in range(1, 6)] == [1, 2, 3, 4, 4]
+        adj = neighbor_lists(g)
+        assert [_fan(adj, 0, ends, need) for need in range(1, 6)] == [1, 2, 3, 4, 4]
 
     def test_ends_are_unchanged(self):
         g = graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (3, 5), (4, 6)])
         ends = self.mask(7, [1, 5, 6])
         before = ends.copy()
-        _fan(g, 0, ends, 9)
-        assert np.array_equal(ends, before)
+        _fan(neighbor_lists(g), 0, ends, 9)
+        assert ends == before
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -388,7 +465,7 @@ class TestFan:
         nodes = data.draw(st.sets(st.integers(0, g.n - 1).filter(lambda v: v != t)))
         need = data.draw(st.integers(1, g.n))
         ends = self.mask(g.n, nodes)
-        found = _fan(g, t, ends, need)
+        found = _fan(neighbor_lists(g), t, ends, need)
         edges = g.edges.tolist() + [(v, g.n) for v in sorted(nodes)]
         assert 0 <= found <= need
         assert found <= brute_local_connectivity(g.n + 1, edges, t, g.n)

@@ -117,6 +117,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=match):
             mini_spec(**kw)
 
+    @pytest.mark.parametrize("kw,match", [
+        (dict(sweep_kind="alpha", rule=None, sweep_values=0.5), "^sweep_values "),
+        (dict(k_list=3), "^k_list ")])
+    def test_rejects_a_scalar_for_a_sequence(self, kw, match):
+        # a scalar used to raise TypeError: 'float' object is not iterable
+        with pytest.raises(ValueError, match=match + "must be a sequence"):
+            mini_spec(**kw)
+
     def test_integral_counts_become_ints(self):
         spec = mini_spec(trials=3.0, master_seed=5.0)
         assert (spec.trials, spec.master_seed) == (3, 5)

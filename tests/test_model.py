@@ -69,6 +69,14 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match=f"^{field} "):
             ModelParams(**args)
 
+    @pytest.mark.parametrize("field,value", [("mu", 0.5), ("K", 2)])
+    def test_rejects_a_scalar_for_a_sequence(self, field, value):
+        # a scalar used to raise TypeError: 'float' object is not iterable
+        args = dict(n=10, mu=(1.0,), K=(2,), P=10, alpha=0.5)
+        args[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be a sequence"):
+            ModelParams(**args)
+
 
 class TestEdgeProbKey:
     def test_pool6_rings_2_3(self):

@@ -48,6 +48,11 @@ class TestRule:
         with pytest.raises(ValueError):
             KeyProfileRule(kind, values)
 
+    def test_constructor_rejects_a_scalar_for_values(self):
+        # a scalar used to raise TypeError: 'int' object is not iterable
+        with pytest.raises(ValueError, match="^offsets values must be a sequence"):
+            KeyProfileRule("offsets", 5)
+
     def test_constructor_normalises_values(self):
         assert KeyProfileRule("offsets", [0, 10.0]) == STEP10
         assert hash(KeyProfileRule("offsets", [0, 10])) == hash(STEP10)
