@@ -43,6 +43,8 @@ from scipy.sparse.csgraph import (breadth_first_order, connected_components,
                                   depth_first_order, maximum_bipartite_matching,
                                   maximum_flow)
 
+from .model import checked_int
+
 
 class Graph:
     """Compact undirected graph: flat edge list plus CSR adjacency.
@@ -55,8 +57,7 @@ class Graph:
     __slots__ = ("n", "edges", "indptr", "indices")
 
     def __init__(self, n: int, edges):
-        if n < 1:
-            raise ValueError("graph needs at least one node")
+        n = checked_int(n, "n", 1)
         e = np.array(edges, dtype=np.int32).reshape(-1, 2)
         if e.size:
             if e.min() < 0 or e.max() >= n:
@@ -72,7 +73,7 @@ class Graph:
                     raise ValueError("duplicate edges are not allowed")
                 e = np.stack([(codes // n).astype(np.int32),
                               (codes % n).astype(np.int32)], axis=1)
-        self.n = int(n)
+        self.n = n
         self.edges = e
         # Row x lists the neighbors a < x (reversed half, ascending with the
         # sorted edges), then those b > x; a stable sort on x keeps that

@@ -57,6 +57,11 @@ class RecordFlags:
 
     vertex_cut_curve: bool = False
 
+    def __post_init__(self):
+        if not isinstance(self.vertex_cut_curve, bool):
+            raise ValueError(f"vertex_cut_curve must be True or False, "
+                             f"got {self.vertex_cut_curve!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -68,7 +73,9 @@ class ExperimentSpec:
     design).  A "k" sweep takes its targets from the swept values and
     leaves ``k_list`` unset (None); every other sweep defaults it to (2,).
     For a "depth" sweep ``k_list`` holds the single design k the depths
-    refer to, and ``record.vertex_cut_curve`` must be set.
+    refer to, and ``record.vertex_cut_curve`` must be set.  Every value is
+    checked here, under its JSON key; the integer fields, ``k_list`` and
+    the values of a "K1", "k" or "depth" sweep are stored as ints.
     """
 
     name: str
@@ -88,10 +95,17 @@ class ExperimentSpec:
                              f"NUL, got {self.name!r}")
         if self.sweep_kind not in ("K1", "alpha", "k", "depth"):
             raise ValueError(f"unknown sweep kind {self.sweep_kind!r}")
-        object.__setattr__(self, "sweep_values",
-                           checked_tuple(self.sweep_values, "sweep_values"))
-        if not self.sweep_values:
+        values = checked_tuple(self.sweep_values, "sweep_values")
+        if not values:
             raise ValueError("sweep_values must be non-empty")
+        label = f"{self.sweep_kind} sweep_values"
+        if self.sweep_kind == "alpha":
+            if any(not 0.0 < checked_real(v, label) <= 1.0 for v in values):
+                raise ValueError(f"{label} must lie in (0, 1]")
+        else:
+            low = {"K1": 2, "k": 1, "depth": 0}[self.sweep_kind]
+            values = tuple(checked_int(v, label, low) for v in values)
+        object.__setattr__(self, "sweep_values", values)
         for key, low in (("trials", 1), ("master_seed", 0)):
             object.__setattr__(self, key, checked_int(getattr(self, key), key, low))
         if self.master_seed >= 2**64:
@@ -100,29 +114,17 @@ class ExperimentSpec:
             if self.k_list is not None:
                 raise ValueError("a k sweep takes its k values from the sweep; "
                                  "leave k_list unset")
-        elif self.k_list is None:
-            object.__setattr__(self, "k_list", (2,))
         else:
-            object.__setattr__(self, "k_list", checked_tuple(self.k_list, "k_list"))
-            if not self.k_list:
+            k_list = (2,) if self.k_list is None else tuple(
+                checked_int(k, "k_list", 1) for k in checked_tuple(self.k_list, "k_list"))
+            if not k_list:
                 raise ValueError("k_list must hold positive integers")
-            for k in self.k_list:
-                checked_int(k, "k_list", 1)
-        if self.sweep_kind == "K1":
-            if self.rule is None:
-                raise ValueError("a K1 sweep needs a key profile rule")
-            for v in self.sweep_values:
-                checked_int(v, "K1 sweep value", 2)
-        if self.sweep_kind == "alpha":
-            if any(not 0.0 < checked_real(v, "alpha sweep value") <= 1.0
-                   for v in self.sweep_values):
-                raise ValueError("alpha sweep values must lie in (0, 1]")
-        if self.sweep_kind == "k":
-            for v in self.sweep_values:
-                checked_int(v, "k sweep value", 1)
+            object.__setattr__(self, "k_list", k_list)
+        if self.sweep_kind == "K1" and self.rule is None:
+            raise ValueError("a K1 sweep needs a key profile rule")
         if self.sweep_kind == "depth":
-            if any(checked_int(v, "depth", 0) > self.base.n - 2 for v in self.sweep_values):
-                raise ValueError("depths must be integers in [0, n-2]")
+            if max(values) > self.base.n - 2:
+                raise ValueError(f"{label} must lie in [0, n-2]")
             if not self.record.vertex_cut_curve:
                 raise ValueError("a depth sweep needs record.vertex_cut_curve")
             if len(self.k_list) != 1:
@@ -178,18 +180,16 @@ def _cells(spec: ExperimentSpec) -> list:
     under the design k.
     """
     if spec.sweep_kind == "depth":
-        k = int(spec.k_list[0])
-        depths = [int(d) for d in spec.sweep_values]
+        depths, k = spec.sweep_values, spec.k_list[0]
         return [(spec.base, derive_master(spec.master_seed, 0),
                  tuple(d + 1 for d in depths), [(d, k) for d in depths])]
     cells = []
     for i, value in enumerate(spec.sweep_values):
-        params, k_list = spec.base, spec.k_list or (value,)
+        params, targets = spec.base, spec.k_list or (value,)
         if spec.sweep_kind == "K1":
-            params = spec.base.replace(K=spec.rule.ring_sizes(int(value)))
+            params = spec.base.replace(K=spec.rule.ring_sizes(value))
         elif spec.sweep_kind == "alpha":
-            params = spec.base.replace(alpha=float(value))
-        targets = tuple(int(k) for k in k_list)
+            params = spec.base.replace(alpha=value)
         cells.append((params, derive_master(spec.master_seed, i), targets,
                       [(value, k) for k in targets]))
     return cells
@@ -351,64 +351,37 @@ def _check_keys(d, context: str, allowed: set, required: tuple = ()) -> dict:
     return d
 
 
-def _number(value, name: str, integer: bool = False):
-    """``value`` once it is a finite JSON number, and integral if ``integer``."""
-    ok = isinstance(value, int) and not isinstance(value, bool)
-    if isinstance(value, float):
-        ok = value.is_integer() if integer else math.isfinite(value)
-    if not ok:
-        kind = "an integer" if integer else "a finite number"
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
-    return value
-
-
-def _as_list(value, name: str, integer: bool = False):
-    """``value`` once it is a list of numbers (integers if ``integer``)."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{name} must be a list, got {value!r}")
-    for i, item in enumerate(value):
-        _number(item, f"{name}[{i}]", integer)
-    return value
-
-
 def spec_from_dict(d: dict) -> ExperimentSpec:
     """Build an ExperimentSpec from parsed JSON.
 
-    An unknown or missing key, a scalar where a list belongs, or a
-    non-number where a number belongs raises ValueError naming the key.
+    Only the shape is checked here: an unknown or missing key, or a null
+    ``k_list`` (null is not the absence that leaves it unset), raises
+    ValueError naming the key.  The values go as they are to the
+    constructors, whose checks are the same for a spec built in Python.
     """
     _check_keys(d, "experiment spec", {"name", "base", "sweep", "trials", "k_list",
                                        "master_seed", "record"},
                 ("name", "base", "sweep"))
-    base_d = _check_keys(d["base"], "base", {"n", "mu", "K", "P", "alpha"},
-                         ("n", "mu", "K", "P", "alpha"))
-    _as_list(base_d["mu"], "base.mu")
-    _as_list(base_d["K"], "base.K", integer=True)
-    _number(base_d["n"], "base.n", integer=True)
-    _number(base_d["P"], "base.P", integer=True)
-    _number(base_d["alpha"], "base.alpha")
-    base = ModelParams(**base_d)
+    if "k_list" in d and d["k_list"] is None:
+        raise ValueError("k_list must be a list, got None")
+    base = _check_keys(d["base"], "base", {"n", "mu", "K", "P", "alpha"},
+                       ("n", "mu", "K", "P", "alpha"))
     sweep = _check_keys(d["sweep"], "sweep", {"kind", "values", "rule"}, ("kind", "values"))
-    rule = None
-    if sweep.get("rule") is not None:
-        rule_d = _check_keys(sweep["rule"], "rule", {"kind", "values"}, ("kind", "values"))
-        _as_list(rule_d["values"], "rule.values", integer=True)
-        rule = KeyProfileRule(**rule_d)
-    record_d = _check_keys(d.get("record", {}), "record", {"vertex_cut_curve"})
-    cut_curve = record_d.get("vertex_cut_curve", False)
-    if not isinstance(cut_curve, bool):
-        raise ValueError(f"record.vertex_cut_curve must be true or false, got {cut_curve!r}")
+    rule = sweep.get("rule")
+    if rule is not None:
+        rule = KeyProfileRule(**_check_keys(rule, "rule", {"kind", "values"},
+                                            ("kind", "values")))
+    record = _check_keys(d.get("record", {}), "record", {"vertex_cut_curve"})
     return ExperimentSpec(
         name=d["name"],
-        base=base,
-        sweep_kind=str(sweep["kind"]),
-        sweep_values=tuple(_as_list(sweep["values"], "sweep.values")),
+        base=ModelParams(**base),
+        sweep_kind=sweep["kind"],
+        sweep_values=sweep["values"],
         rule=rule,
-        trials=int(_number(d.get("trials", 200), "trials", integer=True)),
-        k_list=tuple(int(k) for k in _as_list(d["k_list"], "k_list", integer=True))
-        if "k_list" in d else None,
-        master_seed=int(_number(d.get("master_seed", 0), "master_seed", integer=True)),
-        record=RecordFlags(vertex_cut_curve=cut_curve),
+        trials=d.get("trials", 200),
+        k_list=d.get("k_list"),
+        master_seed=d.get("master_seed", 0),
+        record=RecordFlags(**record),
     )
 
 

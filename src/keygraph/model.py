@@ -41,8 +41,9 @@ def checked_int(value, name: str, low: int) -> int:
 
 
 def checked_tuple(value, name: str) -> tuple:
-    """``value`` as a tuple once it is a sequence; a scalar or a string is not."""
-    if isinstance(value, str) or not hasattr(value, "__iter__"):
+    """``value`` as a tuple once it is a sequence; a scalar, a string or a
+    dict is not."""
+    if isinstance(value, (str, dict)) or not hasattr(value, "__iter__"):
         raise ValueError(f"{name} must be a sequence, got {value!r}")
     return tuple(value)
 
@@ -83,14 +84,14 @@ class ModelParams:
         if len(K) < 1 or len(mu) != len(K):
             raise ValueError("mu and K must be non-empty and the same length")
         if not all(math.isfinite(m) and m > 0 for m in mu):
-            raise ValueError("every class probability must be positive and finite")
+            raise ValueError(f"mu entries must be positive and finite, got {mu!r}")
         total = math.fsum(mu)
         if abs(total - 1.0) > MU_SUM_TOL:
-            raise ValueError(f"class probabilities sum to {total!r}, not 1")
+            raise ValueError(f"mu sums to {total!r}, not 1")
         if any(K[i] > K[i + 1] for i in range(len(K) - 1)):
-            raise ValueError("key ring sizes must be non-decreasing")
+            raise ValueError(f"K must be non-decreasing, got {K!r}")
         if K[-1] > P:
-            raise ValueError("largest key ring exceeds the pool size")
+            raise ValueError(f"K holds a ring larger than P = {P}")
         alpha = checked_real(alpha, "alpha")
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")

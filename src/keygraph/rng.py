@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import checked_int
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # 2^64 / golden ratio, the SplitMix64 increment
 
@@ -43,16 +45,19 @@ def philox_key(master_seed: int, trial_index: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Identity of one random trial: (master seed, trial index)."""
+    """Identity of one random trial: (master seed, trial index), both
+    non-negative integers and the seed below 2^64."""
 
     master_seed: int
     trial_index: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.master_seed <= _MASK64:
+        master_seed = checked_int(self.master_seed, "master_seed", 0)
+        if master_seed > _MASK64:
             raise ValueError("master_seed must be an unsigned 64-bit integer")
-        if self.trial_index < 0:
-            raise ValueError("trial_index must be non-negative")
+        object.__setattr__(self, "master_seed", master_seed)
+        object.__setattr__(self, "trial_index",
+                           checked_int(self.trial_index, "trial_index", 0))
 
     def stream(self) -> np.random.Generator:
         """Fresh generator for this trial; identical calls yield identical streams."""

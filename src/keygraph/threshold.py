@@ -41,7 +41,7 @@ class KeyProfileRule:
         name = f"{self.kind} values"
         values = tuple(checked_int(v, name, low) for v in checked_tuple(self.values, name))
         if self.kind == "offsets" and values[:1] != (0,):
-            raise ValueError("offsets must start with 0 for the free class")
+            raise ValueError("offsets values must start with 0 for the free class")
         if any(a > b for a, b in zip(values, values[1:])):
             raise ValueError(f"{self.kind} values must be non-decreasing")
         object.__setattr__(self, "values", values)

@@ -159,6 +159,12 @@ class TestGraph:
         with pytest.raises(ValueError):
             graph(3, [(0, 3)])
 
+    @pytest.mark.parametrize("n", [2.5, True, "3", 0])
+    def test_rejects_a_node_count_that_is_not_a_positive_integer(self, n):
+        # 2.5 and True used to raise TypeError from numpy
+        with pytest.raises(ValueError, match="^n must be an integer >= 1"):
+            Graph(n, [])
+
     def test_rejects_duplicate_in_sorted_order(self):
         with pytest.raises(ValueError, match="duplicate"):
             graph(4, [(0, 1), (0, 1), (2, 3)])

@@ -160,7 +160,9 @@ class TestSpecBoundary:
         ("min_degree", True), ("k_connectivity", True), ("normalize_mu", False),
         # a name is a non-empty string that keeps --dat files in place
         ("name", ["a", "b/../c"]), ("name", "b/../c"), ("name", ""),
-        ("name", 7), ("name", "a\0b")])
+        ("name", 7), ("name", "a\0b"),
+        # null is not the absence that leaves k_list at its default
+        ("k_list", None)])
     def test_reported_type_errors_exit_2(self, capsys, tmp_path, key, value):
         d = copy.deepcopy(VALID_SPEC)
         record = d.setdefault("record", {})

@@ -119,11 +119,28 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("kw,match", [
         (dict(sweep_kind="alpha", rule=None, sweep_values=0.5), "^sweep_values "),
-        (dict(k_list=3), "^k_list ")])
+        (dict(k_list=3), "^k_list "),
+        (dict(sweep_values={3: 4}), "^sweep_values "), (dict(k_list={2: 1}), "^k_list ")])
     def test_rejects_a_scalar_for_a_sequence(self, kw, match):
-        # a scalar used to raise TypeError: 'float' object is not iterable
+        # a scalar used to raise TypeError: 'float' object is not iterable,
+        # and a dict passed as the tuple of its keys
         with pytest.raises(ValueError, match=match + "must be a sequence"):
             mini_spec(**kw)
+
+    @pytest.mark.parametrize("value", ["no", 1, 0, None, np.True_])
+    def test_record_flag_must_be_a_bool(self, value):
+        # "no" used to be accepted, and being truthy it turned exact kappa on
+        with pytest.raises(ValueError, match="^vertex_cut_curve "):
+            RecordFlags(vertex_cut_curve=value)
+
+    @pytest.mark.parametrize("kind,values,k_list", [
+        ("K1", (3.0, 4.0), (2.0,)), ("k", (1.0, 2.0), None),
+        ("depth", (0.0, 1.0), (3.0,))])
+    def test_integral_values_are_stored_as_ints(self, kind, values, k_list):
+        spec = mini_spec(sweep_kind=kind, sweep_values=values, k_list=k_list,
+                         record=RecordFlags(vertex_cut_curve=kind == "depth"))
+        assert spec.sweep_values == values
+        assert all(type(v) is int for v in spec.sweep_values + (spec.k_list or ()))
 
     def test_integral_counts_become_ints(self):
         spec = mini_spec(trials=3.0, master_seed=5.0)
@@ -387,6 +404,30 @@ class TestCsv:
         assert float(y) <= 1.0 and float(ci) > 0
 
 
+# Bad values for each key of a JSON spec, by the key's path.  A null
+# k_list is left out: in Python, None leaves k_list unset.
+BAD_SPEC_VALUES = {
+    ("name",): ["", "a/b", "a\0b", 7, None, ["a"]],
+    ("base", "n"): [1, 2.5, True, "30", None, [30], {"n": 30}, math.inf],
+    ("base", "mu"): [0.5, "1", None, {"0.5": 1}, [0.5, "x"], [0.5, math.inf],
+                     [0.5, True], [0.6, 0.6], [1.0], []],
+    ("base", "K"): [3, "3", None, {"3": 5}, [3, 5.5], [3, True], [5, 3],
+                    [3, 50], [3], [0, 5]],
+    ("base", "P"): [0, 40.5, False, "40", None, 4],
+    ("base", "alpha"): [0, 1.5, -0.5, math.inf, math.nan, True, "0.5", None, [0.5]],
+    ("sweep", "kind"): ["beta", None, 1, ["K1"]],
+    ("sweep", "values"): [3, "34", None, {"3": 4}, [], [3, 4.5], [1], [3, True],
+                          [3, math.inf], [3, None]],
+    ("sweep", "rule", "kind"): ["scaled", None, 0],
+    ("sweep", "rule", "values"): [0, "02", None, {"0": 2}, [1, 2], [0, -2],
+                                  [0, 2.5], [0, True], []],
+    ("trials",): [0, 2.5, True, "5", None, [5], math.inf],
+    ("k_list",): [2, "2", {"2": 1}, [], [0], [2.5], [True], [math.inf]],
+    ("master_seed",): [-1, 2**64, 1.5, False, "3", None],
+    ("record", "vertex_cut_curve"): ["no", 0, 1, None, [True]],
+}
+
+
 class TestJsonSpecs:
     def spec_dict(self):
         return {
@@ -400,6 +441,40 @@ class TestJsonSpecs:
             "master_seed": 3,
             "record": {"vertex_cut_curve": False},
         }
+
+    def build_directly(self, path, value):
+        """The constructor that owns ``path``, given ``value`` there."""
+        d = self.spec_dict()
+        owner, key = path[0], path[-1]
+        if owner == "base":
+            return ModelParams(**{**d["base"], key: value})
+        if path[:2] == ("sweep", "rule"):
+            return KeyProfileRule(**{**d["sweep"]["rule"], key: value})
+        if owner == "record":
+            return RecordFlags(**{key: value})
+        kwargs = dict(name=d["name"], base=ModelParams(**d["base"]), sweep_kind="K1",
+                      sweep_values=d["sweep"]["values"],
+                      rule=KeyProfileRule(**d["sweep"]["rule"]), trials=d["trials"],
+                      k_list=d["k_list"], master_seed=d["master_seed"])
+        kwargs[{"kind": "sweep_kind", "values": "sweep_values"}.get(key, key)] = value
+        return ExperimentSpec(**kwargs)
+
+    @pytest.mark.parametrize("path,value", [
+        pytest.param(path, value, id=f"{'.'.join(path)}={value!r}")
+        for path, values in BAD_SPEC_VALUES.items() for value in values])
+    def test_json_rejects_exactly_as_the_constructor(self, path, value):
+        # the parser checks only the keys; every value check and its message
+        # belong to the constructor, so Python and JSON reject alike
+        d = self.spec_dict()
+        owner = d
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+        with pytest.raises(ValueError) as direct:
+            self.build_directly(path, value)
+        with pytest.raises(ValueError) as parsed:
+            spec_from_dict(json.loads(json.dumps(d)))
+        assert str(parsed.value) == str(direct.value)
 
     def test_load_round_trip(self, tmp_path):
         path = tmp_path / "spec.json"

@@ -69,9 +69,11 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match=f"^{field} "):
             ModelParams(**args)
 
-    @pytest.mark.parametrize("field,value", [("mu", 0.5), ("K", 2)])
+    @pytest.mark.parametrize("field,value", [
+        ("mu", 0.5), ("K", 2), ("mu", {1.0: "x"}), ("K", {3: None})])
     def test_rejects_a_scalar_for_a_sequence(self, field, value):
-        # a scalar used to raise TypeError: 'float' object is not iterable
+        # a scalar used to raise TypeError: 'float' object is not iterable,
+        # and a dict passed as the tuple of its keys
         args = dict(n=10, mu=(1.0,), K=(2,), P=10, alpha=0.5)
         args[field] = value
         with pytest.raises(ValueError, match=f"^{field} must be a sequence"):

@@ -78,6 +78,29 @@ class TestDeterminism:
                     and np.array_equal(a.ring_data, b.ring_data))
 
 
+class TestSeedSpec:
+    @pytest.mark.parametrize("field", ["master_seed", "trial_index"])
+    @pytest.mark.parametrize("value", [1.5, True, "3", -1])
+    def test_rejects_what_is_not_a_non_negative_integer(self, field, value):
+        # 1.5 and True used to pass here, and 1.5 then failed with TypeError
+        # inside stream(); "3" raised TypeError
+        kw = dict(master_seed=1, trial_index=0)
+        kw[field] = value
+        with pytest.raises(ValueError, match=f"^{field} "):
+            SeedSpec(**kw)
+
+    def test_rejects_a_seed_past_64_bits(self):
+        with pytest.raises(ValueError, match="master_seed"):
+            SeedSpec(2**64)
+
+    def test_integral_values_become_ints(self):
+        seed = SeedSpec(987.0, np.int64(3))
+        assert (seed.master_seed, seed.trial_index) == (987, 3)
+        assert type(seed.master_seed) is type(seed.trial_index) is int
+        assert np.array_equal(seed.stream().random(4),
+                              SeedSpec(987, 3).stream().random(4))
+
+
 class TestStructure:
     def test_ring_sizes_match_classes_and_stay_sorted(self):
         p = ModelParams(n=200, mu=(0.2, 0.3, 0.5), K=(3, 5, 8), P=400, alpha=0.3)

@@ -41,10 +41,11 @@ class TestRule:
 
     @pytest.mark.parametrize("kind,values", [
         ("bogus", (5,)), ("offsets", (3, 1)), ("offsets", ()), ("offsets", (0, 5, 3)),
-        ("offsets", (0, 2.5)), ("fixed_tail", (0,)), ("fixed_tail", (4, 3))])
+        ("offsets", (0, 2.5)), ("fixed_tail", (0,)), ("fixed_tail", (4, 3)),
+        ("offsets", {0: None, 10: None})])
     def test_constructor_checks_itself(self, kind, values):
-        # an unknown kind used to act as a fixed tail, and offsets that do
-        # not start at 0 gave decreasing rings
+        # an unknown kind used to act as a fixed tail, offsets that do not
+        # start at 0 gave decreasing rings, and a dict passed as its keys
         with pytest.raises(ValueError):
             KeyProfileRule(kind, values)
 
