@@ -14,19 +14,18 @@ articulation test, degree bookkeeping) is local.
 Almost every pair only confirms the bound, so a fan of disjoint paths
 skips it.  With b the least value so far, call u *tied* when no separator
 of fewer than b nodes, s and u outside it, puts u apart from s.  Every
-neighbor of s is tied, and so is every sink already matched (Menger).  A
-sink t with b paths to distinct tied nodes, disjoint apart from t, is tied
-too: a separator of fewer than b nodes that avoids s and t misses one whole
-path, whose tied end still reaches s.  So kappa(s, t) >= b, t cannot lower
-b, and its matching is skipped.  A tie stays valid when b falls.  The paths
-are single edges to tied neighbors, counted incrementally by
-:class:`_Ties` (each new tie adds one to the count of each of its
-neighbors, and a node whose count reaches b is tied in turn), and then
-two-hop paths t, w, z found greedily by :func:`_fan`.  A pair (x, y)
-of neighbors of s, part (b), is skipped when :func:`_fan` finds b paths
-y, z, x or y, w, z, x that are disjoint apart from x and y: kappa(x, y) >= b
-by Menger.  Only pairs that cannot lower b are skipped, so the first pair of
-least kappa, and the cut from it, are those of the full enumeration.
+neighbor of s is tied, and so is every sink already reached, whether its
+fan proved it or its matching gave at least b (Menger).  A sink t with b
+paths to distinct tied nodes, disjoint apart from t, is tied too: a
+separator of fewer than b nodes that avoids s and t misses one whole path,
+whose tied end still reaches s.  So kappa(s, t) >= b, t cannot lower b, and
+its matching is skipped.  A tie stays valid when b falls.  The paths are
+single edges to tied neighbors and then two-hop paths t, w, z, both found
+greedily by :func:`_fan`.  A pair (x, y) of neighbors of s, part (b), is
+skipped when :func:`_fan` finds b paths y, z, x or y, w, z, x that are
+disjoint apart from x and y: kappa(x, y) >= b by Menger.  Only pairs that
+cannot lower b are skipped, so the first pair of least kappa, and the cut
+from it, are those of the full enumeration.
 
 All functions are pure; scratch state is per call, so concurrent use on
 distinct graphs is safe.
@@ -58,10 +57,16 @@ class Graph:
 
     def __init__(self, n: int, edges):
         n = checked_int(n, "n", 1)
-        e = np.array(edges, dtype=np.int32).reshape(-1, 2)
+        # numpy casts True and 1.5 to 1, so only a list is read item by item
+        e = edges if isinstance(edges, np.ndarray) else np.array(edges, dtype=object)
+        e = e.reshape(-1, 2)
+        if not (e.dtype.kind in "iu" or e.dtype == object and all(
+                isinstance(v, Integral) and not isinstance(v, bool) for v in e.flat)):
+            raise ValueError("edge endpoints must be integers")
+        if e.size and (e.min() < 0 or e.max() >= n):
+            raise ValueError("edge endpoint out of range")
+        e = e.astype(np.int32)
         if e.size:
-            if e.min() < 0 or e.max() >= n:
-                raise ValueError("edge endpoint out of range")
             if (e[:, 0] == e[:, 1]).any():
                 raise ValueError("self-loops are not allowed")
             if not (e[:, 0] < e[:, 1]).all():
@@ -111,8 +116,6 @@ def _adjacency(g: Graph) -> csr_matrix:
 
 
 def component_count(g: Graph) -> int:
-    if g.n == 1:
-        return 1
     count, _ = connected_components(_adjacency(g), directed=False)
     return int(count)
 
@@ -229,41 +232,6 @@ def _fan(adj: list, t: int, ends: list, need: int) -> int:
     return min(found, need)
 
 
-class _Ties:
-    """The nodes tied to s (module docstring) under a bound b that only falls.
-
-    ``add`` ties a node not yet tied.  ``close(b)`` then ties every node with
-    at least b tied neighbors, to the least fixpoint, counting each tie once
-    over its neighbor list; when b has fallen, one scan first ties the
-    nodes already at it.  ``tied`` is the node mask, a list.
-    """
-
-    def __init__(self, adj: list, seeds):
-        n = len(adj)
-        self.adj, self.level = adj, n  # above any b: the first close scans
-        self.tied, self.count, self.queue = [False] * n, [0] * n, []
-        for v in seeds:
-            self.add(v)
-
-    def add(self, v: int) -> None:
-        self.tied[v] = True
-        self.queue.append(v)  # counted at the next close
-
-    def close(self, b: int) -> None:
-        tied, count, queue = self.tied, self.count, self.queue
-        if b < self.level:
-            self.level = b
-            for v, c in enumerate(count):
-                if c >= b and not tied[v]:
-                    self.add(v)
-        while queue:
-            for v in self.adj[queue.pop()]:
-                count[v] += 1
-                if count[v] >= b and not tied[v]:
-                    tied[v] = True
-                    queue.append(v)
-
-
 def _weakest_pair(g: Graph, stop_below: int | None = None) -> tuple:
     """``(value, (src, dst))``: the first Even-Tarjan pair of least kappa.
 
@@ -271,11 +239,10 @@ def _weakest_pair(g: Graph, stop_below: int | None = None) -> tuple:
     minimum-degree node s (ascending), then every non-adjacent pair of
     neighbors of s (ascending lexicographic).  Only a strictly smaller value
     replaces the best pair, so a pair that a fan proves at least b (module
-    docstring) is skipped: a sink that is tied or has ``_fan(adj, t, tied,
-    b) >= b``, and a pair (x, y) with ``_fan(adj, y, N(x), b) >= b``.  The
-    neighbor lists ``adj`` are built once per call, and the tied set is
-    closed incrementally before each sink: only the new ties are counted,
-    never the whole adjacency.
+    docstring) is skipped: a sink t with ``_fan(adj, t, tied, b) >= b``,
+    and a pair (x, y) with ``_fan(adj, y, N(x), b) >= b``.  The neighbor
+    lists ``adj`` are built once per call; the tied mask holds N(s), and
+    each sink joins it as it is reached, before its fan.
     The loop stops at a proven lower bound: 1 (connected), or 2 once the
     graph is known biconnected.  With ``stop_below`` = k the bound b starts
     at k and the loop stops at the first pair below it; if none is, the
@@ -285,8 +252,9 @@ def _weakest_pair(g: Graph, stop_below: int | None = None) -> tuple:
     adj = [idx[ptr[v]:ptr[v + 1]] for v in range(n)]
     s = int(np.argmin(g.degrees))
     nb = adj[s]
-    ties = _Ties(adj, nb)
-    tied = ties.tied
+    tied = [False] * n
+    for v in nb:
+        tied[v] = True
     near, row = None, None  # near is N(row)
     pairs = itertools.chain(
         [(s, t) for t in range(n) if t != s and not tied[t]],  # tied is N(s)
@@ -298,10 +266,7 @@ def _weakest_pair(g: Graph, stop_below: int | None = None) -> tuple:
     pair = None
     for src, dst in pairs:
         if src == s:
-            ties.close(best)
-            if tied[dst]:
-                continue
-            ties.add(dst)  # proven below or matched: kappa(s, dst) >= best
+            tied[dst] = True  # its fan or its matching proves it below
             ends = tied
         else:
             if src != row:
@@ -385,18 +350,16 @@ def is_k_connected(g: Graph, k: int) -> bool:
     Cheap refutations first (degree bound, then connectivity for k = 1 and
     biconnectivity, which rejects a disconnected graph itself, for k = 2);
     the pair loop runs only for k >= 3, with the skip bound b = k from its
-    first pair: a pair with a fan of k disjoint paths (a sink to tied nodes,
-    or one neighbor of s to the other's neighbors) has local connectivity
-    at least k and is not matched.  It stops at the first local
-    connectivity below k.
+    first pair: a pair with a fan of k disjoint paths (a sink to N(s) and
+    the sinks before it, or one neighbor of s to the other's neighbors) has
+    local connectivity at least k and is not matched.  It stops at the
+    first local connectivity below k.
     """
     if g.n < 2:
         raise ValueError("k-connectivity needs at least two nodes")
     if isinstance(k, bool) or not isinstance(k, Integral) or k < 1:
         raise ValueError("k must be a positive integer")
-    if k > g.n - 1:
-        return False
-    if int(g.degrees.min()) < k:
+    if int(g.degrees.min()) < k:  # delta <= n - 1, so also every k > n - 1
         return False
     if k == 1:
         return is_connected(g)

@@ -95,6 +95,12 @@ class ExperimentSpec:
                              f"NUL, got {self.name!r}")
         if self.sweep_kind not in ("K1", "alpha", "k", "depth"):
             raise ValueError(f"unknown sweep kind {self.sweep_kind!r}")
+        for key, kind, what in (("base", ModelParams, "a ModelParams"),
+                                ("rule", (KeyProfileRule, type(None)),
+                                 "a KeyProfileRule or None"),
+                                ("record", RecordFlags, "a RecordFlags")):
+            if not isinstance(getattr(self, key), kind):
+                raise ValueError(f"{key} must be {what}, got {getattr(self, key)!r}")
         values = checked_tuple(self.sweep_values, "sweep_values")
         if not values:
             raise ValueError("sweep_values must be non-empty")
@@ -249,12 +255,9 @@ def run_experiment(*specs: ExperimentSpec, workers: int = 1) -> ExperimentResult
             c_deg = sum(1 for d in deltas if d >= t)
             c_conn = sum(1 for s in cell if s[2][j])
             mismatch = sum(1 for s in cell if (s[0] >= t) != s[2][j])
-            threshold_K1 = None
-            if spec.rule is not None:
-                key = (params.n, params.P, params.mu, params.alpha, k, spec.rule)
-                if key not in thresholds:
-                    thresholds[key] = solve_threshold(*key)
-                threshold_K1 = thresholds[key]
+            key = (params.n, params.P, params.mu, params.alpha, k, spec.rule)
+            if spec.rule is not None and key not in thresholds:
+                thresholds[key] = solve_threshold(*key)
             rows.append(ExperimentRow(
                 experiment=spec.name,
                 n=params.n, P=params.P, alpha=params.alpha, k=k,
@@ -267,7 +270,7 @@ def run_experiment(*specs: ExperimentSpec, workers: int = 1) -> ExperimentResult
                 mean_delta=mean_delta,
                 mean_kappa=mean_kappa,
                 mismatch_count=mismatch,
-                threshold_K1=threshold_K1,
+                threshold_K1=thresholds.get(key),
                 master_seed=spec.master_seed,
             ))
     return ExperimentResult(rows=tuple(rows))

@@ -105,10 +105,8 @@ def _key_sharing_pairs(n: int, ring_data: np.ndarray, ring_node: np.ndarray) -> 
     Sorts the flat (key, node) incidence list by key, then node, and emits,
     for every shift d, the pairs of holders d apart within a key run.
     Duplicates from pairs sharing several keys are removed.  Returns an
-    (m, 2) int64 array in lexicographic order.
+    (m, 2) int64 array in lexicographic order.  Needs at least one key.
     """
-    if ring_data.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
     incidence = np.sort(ring_data * n + ring_node)
     keys, nodes = np.divmod(incidence, n)
     run_start = np.empty(keys.size, dtype=bool)

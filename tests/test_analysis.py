@@ -15,8 +15,8 @@ from keygraph import (Graph, ModelParams, SeedSpec, is_connected,
                       is_k_connected, min_degree, sample_network,
                       vertex_connectivity)
 from keygraph.analysis import (_fan, _is_biconnected, _LocalConnectivity,
-                               _Ties, component_count)
-from keygraph.experiments import fig4_specs
+                               component_count)
+from keygraph.experiments import fig2_spec, fig4_specs
 from oracles import (brute_local_connectivity, brute_min_cuts,
                      brute_vertex_connectivity, connected_after_removal)
 
@@ -78,30 +78,6 @@ def neighbor_lists(g):
     return [g.neighbors(v).tolist() for v in range(g.n)]
 
 
-class MatVecTies:
-    """The tie closure as a whole-adjacency fixpoint, one CSR mat-vec per
-    wave: the reference for _Ties.  add marks an untied node fresh; close(b)
-    ties the fresh nodes, adds their rows to every count, and repeats with
-    the untied nodes whose count reaches b.  A fall of b is seen only by a
-    close with a fresh node, so the tests run it from scratch."""
-
-    def __init__(self, g):
-        self.adj = csr_matrix((np.ones(g.indices.size, dtype=np.int32),
-                               g.indices, g.indptr), shape=(g.n, g.n))
-        self.tied = np.zeros(g.n, dtype=bool)
-        self.count = np.zeros(g.n, dtype=np.int32)
-        self.fresh = np.zeros(g.n, dtype=bool)
-
-    def add(self, v):
-        self.fresh[v] = True
-
-    def close(self, b):
-        while self.fresh.any():
-            self.tied |= self.fresh
-            self.count += self.adj @ self.fresh
-            self.fresh = ~self.tied & (self.count >= b)
-
-
 def count_calls(monkeypatch, *names):
     """Count calls of the named keygraph.analysis functions, in place."""
     calls = dict.fromkeys(names, 0)
@@ -158,6 +134,28 @@ class TestGraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             graph(3, [(0, 3)])
+
+    @pytest.mark.parametrize("edges", [[(0, 1.5)], [(0, True)], [(0, "1")],
+                                       [(0, 1.0)], np.array([(0, 1.0)]),
+                                       np.array([(False, True)])])
+    def test_rejects_an_endpoint_that_is_not_an_integer(self, edges):
+        # each of these used to become the edge (0, 1)
+        with pytest.raises(ValueError, match="^edge endpoints must be integers"):
+            Graph(3, edges)
+
+    @pytest.mark.parametrize("edges", [[(0, 2**31)], [(0, 2**70)], [(-2**40, 1)],
+                                       np.array([(0, 2**40)])])
+    def test_rejects_an_endpoint_past_int32_as_out_of_range(self, edges):
+        # these used to raise OverflowError or wrap around into range
+        with pytest.raises(ValueError, match="^edge endpoint out of range"):
+            Graph(3, edges)
+
+    def test_accepts_python_and_numpy_integer_endpoints(self):
+        for edges in ([(0, 1), (1, 2)], [(np.int64(0), np.uint8(1)), (1, 2)],
+                      np.array([(0, 1), (1, 2)], dtype=np.uint64), []):
+            g = Graph(3, edges)
+            assert g.edges.dtype == np.int32
+            assert g.edges.tolist() == [[0, 1], [1, 2]][:len(edges)]
 
     @pytest.mark.parametrize("n", [2.5, True, "3", 0])
     def test_rejects_a_node_count_that_is_not_a_positive_integer(self, n):
@@ -377,52 +375,34 @@ class TestLocalConnectivity:
                 assert is_k_connected(g, k) == (kappa >= k)
 
     def test_matchings_per_call_are_pinned(self, monkeypatch):
-        # the fig4 designs at the seeds above: the matchings one
-        # vertex_connectivity call and one is_k_connected(g, kappa) call
-        # run, so a change that moves a skip decision shows here
+        # the fig4 designs and fig2 at K1 = 20 and 35 (delta 2 to 14), at
+        # the seeds above: the matchings one vertex_connectivity call and
+        # one is_k_connected(g, kappa) call run, so a change that moves a
+        # skip decision shows here
         calls = count_calls(monkeypatch, "maximum_bipartite_matching")
-        pinned = {(8, 7): (6, 2, 1), (8, 8): (7, 4, 4),
-                  (10, 7): (12, 6, 6), (10, 8): (13, 17, 17),
-                  (12, 7): (14, 3, 3), (12, 8): (13, 7, 6),
-                  (14, 7): (18, 9, 9), (14, 8): (16, 3, 3)}
+        pinned = {("fig4", 8, 7): (6, 2, 1), ("fig4", 8, 8): (7, 4, 4),
+                  ("fig4", 10, 7): (12, 6, 6), ("fig4", 10, 8): (13, 17, 17),
+                  ("fig4", 12, 7): (14, 3, 3), ("fig4", 12, 8): (13, 7, 6),
+                  ("fig4", 14, 7): (18, 9, 9), ("fig4", 14, 8): (16, 3, 3),
+                  ("fig2", 20, 7): (4, 18, 18), ("fig2", 20, 8): (2, 1, 0),
+                  ("fig2", 35, 7): (12, 2, 2), ("fig2", 35, 8): (14, 7, 7)}
+        fig2 = fig2_spec(trials=1)
+        samples = [(("fig4", spec.k_list[0]), spec.base)
+                   for spec in fig4_specs(trials=1)]
+        samples += [(("fig2", K1), fig2.base.replace(K=fig2.rule.ring_sizes(K1)))
+                    for K1 in (20, 35)]
         got = {}
-        for spec in fig4_specs(trials=1):
+        for key, params in samples:
             for seed in (7, 8):
-                g = sample_network(spec.base, SeedSpec(seed, 0)).graph()
+                g = sample_network(params, SeedSpec(seed, 0)).graph()
                 calls["maximum_bipartite_matching"] = 0
                 kappa = vertex_connectivity(g)[0]
                 kappa_calls = calls["maximum_bipartite_matching"]
                 calls["maximum_bipartite_matching"] = 0
                 assert is_k_connected(g, kappa)
-                got[spec.k_list[0], seed] = (
+                got[(*key, seed)] = (
                     kappa, kappa_calls, calls["maximum_bipartite_matching"])
         assert got == pinned
-
-
-class TestTies:
-    """The incremental tie closure against the mat-vec fixpoint."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_tied_set_equals_the_matvec_fixpoint(self, data):
-        # seeds join between closes and the bound only falls, as in the pair
-        # loop, and may fall with no new seed; the reference closes all the
-        # seeds so far from scratch at the current bound
-        g = data.draw(small_graphs(min_n=2, max_n=12))
-        ties, seeds, b = _Ties(neighbor_lists(g), []), set(), g.n
-        for _ in range(data.draw(st.integers(1, 5))):
-            b = data.draw(st.integers(1, b))
-            for v in sorted(data.draw(st.sets(st.integers(0, g.n - 1)))):
-                if not ties.tied[v]:
-                    ties.add(v)
-                seeds.add(v)
-            ties.close(b)
-            ref = MatVecTies(g)
-            for v in seeds:
-                ref.add(v)
-            ref.close(b)
-            assert ties.tied == ref.tied.tolist()
-            assert ties.count == ref.count.tolist()
 
 
 class TestFan:

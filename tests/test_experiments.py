@@ -127,6 +127,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=match + "must be a sequence"):
             mini_spec(**kw)
 
+    @pytest.mark.parametrize("kw,match", [
+        (dict(base={"n": 30}), "^base must be a ModelParams"),
+        (dict(base=None), "^base must be a ModelParams"),
+        (dict(rule="offsets"), "^rule must be a KeyProfileRule or None"),
+        (dict(rule=(0, 2)), "^rule must be a KeyProfileRule or None"),
+        (dict(record={"vertex_cut_curve": True}), "^record must be a RecordFlags"),
+        (dict(record=None), "^record must be a RecordFlags")])
+    def test_rejects_a_part_of_the_wrong_type(self, kw, match):
+        # each of these used to pass here and fail with AttributeError
+        # inside run_experiment
+        with pytest.raises(ValueError, match=match):
+            mini_spec(**kw)
+
     @pytest.mark.parametrize("value", ["no", 1, 0, None, np.True_])
     def test_record_flag_must_be_a_bool(self, value):
         # "no" used to be accepted, and being truthy it turned exact kappa on
