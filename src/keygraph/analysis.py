@@ -220,19 +220,22 @@ def _fan(adj: list, t: int, ends: list, need: int) -> int:
     """
     nt = adj[t]
     others = [w for w in nt if not ends[w]]
-    found, taken = len(nt) - len(others), {t, *nt}
+    found = len(nt) - len(others)
+    if found >= need:
+        return need
+    taken = {t, *nt}
     for w in others:
-        if found >= need:
-            break
         for z in adj[w]:
             if ends[z] and z not in taken:
                 taken.add(z)
                 found += 1
+                if found == need:
+                    return need
                 break
-    return min(found, need)
+    return found
 
 
-def _weakest_pair(g: Graph, stop_below: int | None = None) -> tuple:
+def _weakest_pair(g: Graph) -> tuple:
     """``(value, (src, dst))``: the first Even-Tarjan pair of least kappa.
 
     Fixed deterministic order: first every node t non-adjacent to the lowest
@@ -244,9 +247,7 @@ def _weakest_pair(g: Graph, stop_below: int | None = None) -> tuple:
     lists ``adj`` are built once per call; the tied mask holds N(s), and
     each sink joins it as it is reached, before its fan.
     The loop stops at a proven lower bound: 1 (connected), or 2 once the
-    graph is known biconnected.  With ``stop_below`` = k the bound b starts
-    at k and the loop stops at the first pair below it; if none is, the
-    result is ``(k, None)``.  Needs a connected, non-complete graph.
+    graph is known biconnected.  Needs a connected, non-complete graph.
     """
     n, ptr, idx = g.n, g.indptr.tolist(), g.indices.tolist()
     adj = [idx[ptr[v]:ptr[v + 1]] for v in range(n)]
@@ -262,7 +263,7 @@ def _weakest_pair(g: Graph, stop_below: int | None = None) -> tuple:
          for v in nb[i + 1:] if v not in nu))
     local = _LocalConnectivity(g)
     # kappa(s, t) <= delta, so delta + 1 lets the first sink set the pair.
-    best = len(nb) + 1 if stop_below is None else stop_below
+    best = len(nb) + 1
     pair = None
     for src, dst in pairs:
         if src == s:
@@ -279,9 +280,7 @@ def _weakest_pair(g: Graph, stop_below: int | None = None) -> tuple:
         value = local(src, dst)
         if value < best:
             best, pair = value, (src, dst)
-            # With a bound, any improvement on it lies below it.
-            if stop_below is not None or best == 1 or (
-                    best == 2 and _is_biconnected(g)):
+            if best == 1 or (best == 2 and _is_biconnected(g)):
                 break
     return best, pair
 
@@ -347,13 +346,10 @@ def _is_biconnected(g: Graph) -> bool:
 def is_k_connected(g: Graph, k: int) -> bool:
     """True iff the vertex connectivity is at least k (a positive integer).
 
-    Cheap refutations first (degree bound, then connectivity for k = 1 and
-    biconnectivity, which rejects a disconnected graph itself, for k = 2);
-    the pair loop runs only for k >= 3, with the skip bound b = k from its
-    first pair: a pair with a fan of k disjoint paths (a sink to N(s) and
-    the sinks before it, or one neighbor of s to the other's neighbors) has
-    local connectivity at least k and is not matched.  It stops at the
-    first local connectivity below k.
+    Cheap refutations first: the degree bound, then connectivity for k = 1
+    and biconnectivity (which rejects a disconnected graph itself) for
+    k = 2.  For k >= 3 it reads the exact value from
+    :func:`vertex_connectivity`.
     """
     if g.n < 2:
         raise ValueError("k-connectivity needs at least two nodes")
@@ -365,8 +361,4 @@ def is_k_connected(g: Graph, k: int) -> bool:
         return is_connected(g)
     if k == 2:
         return _is_biconnected(g)
-    if not is_connected(g):
-        return False
-    if g.is_complete():
-        return True
-    return _weakest_pair(g, k)[0] >= k
+    return vertex_connectivity(g)[0] >= k

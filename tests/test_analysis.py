@@ -376,16 +376,15 @@ class TestLocalConnectivity:
 
     def test_matchings_per_call_are_pinned(self, monkeypatch):
         # the fig4 designs and fig2 at K1 = 20 and 35 (delta 2 to 14), at
-        # the seeds above: the matchings one vertex_connectivity call and
-        # one is_k_connected(g, kappa) call run, so a change that moves a
-        # skip decision shows here
+        # the seeds above: kappa and the matchings one vertex_connectivity
+        # call runs, so a change that moves a skip decision shows here
         calls = count_calls(monkeypatch, "maximum_bipartite_matching")
-        pinned = {("fig4", 8, 7): (6, 2, 1), ("fig4", 8, 8): (7, 4, 4),
-                  ("fig4", 10, 7): (12, 6, 6), ("fig4", 10, 8): (13, 17, 17),
-                  ("fig4", 12, 7): (14, 3, 3), ("fig4", 12, 8): (13, 7, 6),
-                  ("fig4", 14, 7): (18, 9, 9), ("fig4", 14, 8): (16, 3, 3),
-                  ("fig2", 20, 7): (4, 18, 18), ("fig2", 20, 8): (2, 1, 0),
-                  ("fig2", 35, 7): (12, 2, 2), ("fig2", 35, 8): (14, 7, 7)}
+        pinned = {("fig4", 8, 7): (6, 2), ("fig4", 8, 8): (7, 4),
+                  ("fig4", 10, 7): (12, 6), ("fig4", 10, 8): (13, 17),
+                  ("fig4", 12, 7): (14, 3), ("fig4", 12, 8): (13, 7),
+                  ("fig4", 14, 7): (18, 9), ("fig4", 14, 8): (16, 3),
+                  ("fig2", 20, 7): (4, 18), ("fig2", 20, 8): (2, 1),
+                  ("fig2", 35, 7): (12, 2), ("fig2", 35, 8): (14, 7)}
         fig2 = fig2_spec(trials=1)
         samples = [(("fig4", spec.k_list[0]), spec.base)
                    for spec in fig4_specs(trials=1)]
@@ -397,11 +396,8 @@ class TestLocalConnectivity:
                 g = sample_network(params, SeedSpec(seed, 0)).graph()
                 calls["maximum_bipartite_matching"] = 0
                 kappa = vertex_connectivity(g)[0]
-                kappa_calls = calls["maximum_bipartite_matching"]
-                calls["maximum_bipartite_matching"] = 0
-                assert is_k_connected(g, kappa)
-                got[(*key, seed)] = (
-                    kappa, kappa_calls, calls["maximum_bipartite_matching"])
+                got[(*key, seed)] = (kappa, calls["maximum_bipartite_matching"])
+                assert is_k_connected(g, kappa) and not is_k_connected(g, kappa + 1)
         assert got == pinned
 
 
@@ -521,7 +517,7 @@ class TestIsKConnected:
         for _ in range(150):
             n = int(rng.integers(2, 8))
             g = random_graph(rng, n, float(rng.choice([0.3, 0.6, 0.9])))
-            kappa = vertex_connectivity(g)[0]
+            kappa = brute_vertex_connectivity(n, g.edges)
             for k in range(1, n):
                 assert is_k_connected(g, k) == (kappa >= k)
 

@@ -440,6 +440,26 @@ class TestRunAndFigures:
         assert a.read_bytes() == b.read_bytes()
         assert len(a.read_text().splitlines()) == 1 + 4
 
+    @pytest.mark.parametrize("command", ["fig1", "fig2", "fig3", "fig4"])
+    def test_figure_outputs_are_pinned(self, capsys, tmp_path, monkeypatch, command):
+        # the --seed 5 --trials 1 CSV (and fig4's .dat files) byte for byte,
+        # in one process and through a two-worker pool: rings up to 70 keys,
+        # n = 500 channels, exact kappa up to delta ~ 19 and the depth rows
+        pinned = DATA / "seed5"
+        made = counting_pool(monkeypatch, cores=2)
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            out.mkdir()
+            dat = ["--dat", str(out / "fig4")] if command == "fig4" else []
+            assert main([command, "--seed", "5", "--trials", "1",
+                         "--workers", str(workers),
+                         "--out", str(out / f"{command}.csv"), *dat]) == 0
+            names = sorted(p.name for p in out.iterdir())
+            assert names == sorted(p.name for p in pinned.glob(f"{command}.*"))
+            for name in names:
+                assert (out / name).read_bytes() == (pinned / name).read_bytes(), name
+        assert made == [2]
+
     def test_fig1_reduced_run(self, capsys, tmp_path, monkeypatch):
         # shrink the sweep for test runtime; the command wiring is unchanged
         tiny_fig1(monkeypatch, alphas=(0.6,))
