@@ -9,7 +9,7 @@ Monte Carlo experiment harness.
 
 from ._version import __version__
 from .analysis import (Graph, is_connected, is_k_connected, min_degree,
-                       vertex_connectivity)
+                       minimum_vertex_cut, vertex_connectivity)
 from .experiments import (ExperimentResult, ExperimentRow, ExperimentSpec,
                           RecordFlags, load_spec, run_experiment,
                           wilson_halfwidth, write_csv, write_dat)
@@ -23,7 +23,7 @@ from .threshold import KeyProfileRule, solve_threshold
 __all__ = [
     "__version__",
     "Graph", "is_connected", "is_k_connected", "min_degree",
-    "vertex_connectivity",
+    "minimum_vertex_cut", "vertex_connectivity",
     "ExperimentResult", "ExperimentRow", "ExperimentSpec", "RecordFlags",
     "load_spec", "run_experiment", "wilson_halfwidth", "write_csv", "write_dat",
     "ModelParams", "admissible", "deviation_from_critical", "edge_prob_key",

@@ -4,9 +4,11 @@ Vertex connectivity follows Even and Tarjan: the global value is the minimum
 of the local connectivities kappa(s, t) over (a) all nodes non-adjacent to a
 fixed minimum-degree node s and (b) all non-adjacent pairs of neighbors of s.
 Each local value is the size of a maximum bipartite matching (Hopcroft-Karp)
-on a node-split graph; see :class:`_LocalConnectivity`.  The cut comes from
-one max flow on the classic node-splitting reduction (every node v becomes
-an arc v_in -> v_out of capacity one), run for the minimum pair only.
+on a node-split graph; see :class:`_LocalConnectivity`.
+:func:`vertex_connectivity` returns that minimum and runs no flow.  Only
+:func:`minimum_vertex_cut` recovers a cut, from one max flow on the classic
+node-splitting reduction (every node v becomes an arc v_in -> v_out of
+capacity one), run for the minimum pair only.
 Matchings, flows and graph searches are delegated to scipy.sparse.csgraph;
 everything around them (reductions, pair enumeration, cut recovery,
 articulation test, degree bookkeeping) is local.
@@ -236,7 +238,10 @@ def _fan(adj: list, t: int, ends: list, need: int) -> int:
 
 
 def _weakest_pair(g: Graph) -> tuple:
-    """``(value, (src, dst))``: the first Even-Tarjan pair of least kappa.
+    """``(kappa, (src, dst))``: the first Even-Tarjan pair of least kappa.
+
+    A disconnected graph gives ``(0, None)`` and a complete one
+    ``(n - 1, None)``; fewer than two nodes raise ValueError.
 
     Fixed deterministic order: first every node t non-adjacent to the lowest
     minimum-degree node s (ascending), then every non-adjacent pair of
@@ -247,8 +252,14 @@ def _weakest_pair(g: Graph) -> tuple:
     lists ``adj`` are built once per call; the tied mask holds N(s), and
     each sink joins it as it is reached, before its fan.
     The loop stops at a proven lower bound: 1 (connected), or 2 once the
-    graph is known biconnected.  Needs a connected, non-complete graph.
+    graph is known biconnected.
     """
+    if g.n < 2:
+        raise ValueError("vertex connectivity needs at least two nodes")
+    if not is_connected(g):
+        return 0, None
+    if g.is_complete():
+        return g.n - 1, None
     n, ptr, idx = g.n, g.indptr.tolist(), g.indices.tolist()
     adj = [idx[ptr[v]:ptr[v + 1]] for v in range(n)]
     s = int(np.argmin(g.degrees))
@@ -285,7 +296,15 @@ def _weakest_pair(g: Graph) -> tuple:
     return best, pair
 
 
-def vertex_connectivity(g: Graph) -> tuple:
+def vertex_connectivity(g: Graph) -> int:
+    """Exact vertex connectivity, from the pair loop alone (no flow).
+
+    0 for a disconnected graph and n-1 for a complete one.
+    """
+    return _weakest_pair(g)[0]
+
+
+def minimum_vertex_cut(g: Graph) -> tuple:
     """Exact vertex connectivity and one minimum vertex cut.
 
     Returns ``(kappa, cut)`` where ``cut`` is a sorted node array: empty for
@@ -293,14 +312,10 @@ def vertex_connectivity(g: Graph) -> tuple:
     the cut recovered from the first source/sink pair attaining the minimum
     under the fixed enumeration order.
     """
-    if g.n < 2:
-        raise ValueError("vertex connectivity needs at least two nodes")
-    empty = np.empty(0, dtype=np.int32)
-    if not is_connected(g):
-        return 0, empty
-    if g.is_complete():
-        return g.n - 1, empty
-    best, (src, dst) = _weakest_pair(g)
+    best, pair = _weakest_pair(g)
+    if pair is None:
+        return best, np.empty(0, dtype=np.int32)
+    src, dst = pair
     # Every max flow of the first minimum pair has the same minimal
     # source-side cut.
     mat = _split_flow_matrix(g)
@@ -361,4 +376,4 @@ def is_k_connected(g: Graph, k: int) -> bool:
         return is_connected(g)
     if k == 2:
         return _is_biconnected(g)
-    return vertex_connectivity(g)[0] >= k
+    return vertex_connectivity(g) >= k

@@ -22,7 +22,7 @@ import sys
 from concurrent.futures import BrokenExecutor
 
 from . import experiments as xp
-from .analysis import component_count, min_degree, vertex_connectivity
+from .analysis import component_count, min_degree, minimum_vertex_cut
 from .model import (ModelParams, admissible, critical_rhs,
                     deviation_from_critical, edge_prob_key, mean_edge_prob,
                     mean_edge_prob_key)
@@ -165,7 +165,7 @@ def _cmd_sample(args) -> int:
 def _cmd_analyze(args) -> int:
     net = read_network(args.infile)
     g = net.graph()
-    kappa, cut = vertex_connectivity(g)
+    kappa, cut = minimum_vertex_cut(g)
     comps = component_count(g)
     print(f"n={net.n} edges={net.edges.shape[0]}")
     print(f"min_degree={min_degree(g)} vertex_connectivity={kappa} "

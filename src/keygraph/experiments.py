@@ -206,7 +206,7 @@ def _evaluate_trial(job: tuple, trial: int) -> tuple:
     params, master, targets, need_kappa = job
     g = sample_network(params, SeedSpec(master, trial)).graph()
     delta = min_degree(g)
-    kappa = vertex_connectivity(g)[0] if need_kappa else None
+    kappa = vertex_connectivity(g) if need_kappa else None
     if kappa is not None:
         return delta, kappa, tuple(kappa >= t for t in targets)
     return delta, None, tuple(is_k_connected(g, t) for t in targets)

@@ -15,11 +15,12 @@ always reproduces the same network, bit for bit:
 3. channel indicators: one uniform per unordered node pair, row-major
    (pairs (0,1)..(0,n-1), then (1,2)..), compared against alpha.
 
-The work is batched without changing that order: rings of one size run
-Floyd's steps together, channel uniforms come in blocks of whole rows that
-each key-sharing pair indexes triangularly, and key-sharing pairs come from
-a key -> holders index, not a test of every pair.  The result equals the
-per-node, per-row, per-pair loops over the same stream, bit for bit.
+The work is batched without changing that order: rings of one size draw
+together (only rows with a repeated draw run Floyd's steps), channel
+uniforms come in blocks of whole rows that each key-sharing pair indexes
+triangularly, and key-sharing pairs come from a key -> holders index, not a
+test of every pair.  The result equals the per-node, per-row, per-pair loops
+over the same stream, bit for bit.
 """
 
 from __future__ import annotations
@@ -77,25 +78,32 @@ def _draw_rings(u: np.ndarray, P: int) -> np.ndarray:
     """Sorted key rings of size K from [0, P), one per row of ``u`` (m, K).
 
     Row i consumes u[i] in order.  Small rings (K <= P/64) use Floyd's subset
-    sampling for all rows at once: step s draws t = floor(u[:, s] * (j+1))
-    with j = P-K+s, and takes j instead when t is already in the row.
+    sampling: step s draws t = floor(u[:, s] * (j+1)) with j = P-K+s, and
+    takes j instead when t is already in the row.  A row whose K draws are
+    distinct never takes j, so it is just its sorted draws; only rows with a
+    repeated draw run the steps.
     """
     m, K = u.shape
-    out = np.empty((m, K), dtype=np.int64)
     if K > P // _FLOYD_MAX_RING_FRACTION:
         # Partial Fisher-Yates over an implicit identity array, sparse storage.
+        out = np.empty((m, K), dtype=np.int64)
         for row, ur in zip(out, u):
             perm = {}
             for j in range(K):
                 t = j + int(ur[j] * (P - j))
                 row[j] = perm.get(t, t)
                 perm[t] = perm.get(j, j)
-    else:
+        out.sort(axis=1)
+        return out
+    t = (u * np.arange(P - K + 1, P + 1)).astype(np.int64)
+    out = np.sort(t, axis=1)
+    repeat = np.flatnonzero((out[:, 1:] == out[:, :-1]).any(axis=1))
+    if repeat.size:
+        t = t[repeat]
         for step, j in enumerate(range(P - K, P)):
-            t = (u[:, step] * (j + 1)).astype(np.int64)
-            taken = (out[:, :step] == t[:, None]).any(axis=1)
-            out[:, step] = np.where(taken, j, t)
-    out.sort(axis=1)
+            t[(t[:, :step] == t[:, step, None]).any(axis=1), step] = j
+        t.sort(axis=1)
+        out[repeat] = t
     return out
 
 

@@ -182,12 +182,36 @@ def connected_after_removal(n: int, edges, removed=()) -> bool:
 
 
 def brute_vertex_connectivity(n: int, edges) -> int:
-    """Minimum number of removals that disconnect; n-1 when none can."""
-    if not connected_after_removal(n, edges):
+    """Minimum number of removals that disconnect; n-1 when none can.
+
+    Node sets are bitmasks, so each of the many removal sets costs one
+    search over its survivors and no adjacency rebuild; as in
+    :func:`connected_after_removal`, fewer than two survivors count as
+    connected.
+    """
+    nbr = [0] * n
+    for u, v in edges:
+        nbr[int(u)] |= 1 << int(v)
+        nbr[int(v)] |= 1 << int(u)
+
+    def connected(alive):
+        if alive & (alive - 1) == 0:
+            return True  # <2 survivors
+        seen = frontier = alive & -alive
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = nbr[low.bit_length() - 1] & alive & ~seen
+            seen |= new
+            frontier |= new
+        return seen == alive
+
+    full = (1 << n) - 1
+    if not connected(full):
         return 0
     for c in range(1, n - 1):
-        for sub in combinations(range(n), c):
-            if not connected_after_removal(n, edges, sub):
+        for sub in combinations([1 << v for v in range(n)], c):
+            if not connected(full & ~sum(sub)):
                 return c
     return n - 1
 

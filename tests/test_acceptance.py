@@ -14,9 +14,9 @@ import numpy as np
 
 from keygraph import (ExperimentSpec, KeyProfileRule, ModelParams, SeedSpec,
                       deviation_from_critical, edge_prob_key, mean_edge_prob,
-                      mean_edge_prob_key, min_degree, run_experiment,
-                      sample_network, solve_threshold, vertex_connectivity,
-                      write_csv)
+                      mean_edge_prob_key, min_degree, minimum_vertex_cut,
+                      run_experiment, sample_network, solve_threshold,
+                      vertex_connectivity, write_csv)
 from keygraph.experiments import fig4_specs
 from oracles import (binomial_ratio_share_prob, brute_vertex_connectivity,
                      connected_after_removal, enumerate_share_prob,
@@ -138,7 +138,7 @@ def test_criterion_4_connectivity_oracle_equivalence():
         iu, ju = np.triu_indices(n, 1)
         keep = rng.random(iu.size) < density
         g = Graph(n, np.stack([iu[keep], ju[keep]], axis=1))
-        kappa, cut = vertex_connectivity(g)
+        kappa, cut = minimum_vertex_cut(g)
         delta = min_degree(g)
         ok = (kappa == brute_vertex_connectivity(n, g.edges)
               and delta == (int(np.diff(g.indptr).min()))
@@ -214,7 +214,7 @@ def test_criterion_7_invariant_suite(tmp_path):
     p_small = ModelParams(n=60, mu=(0.5, 0.5), K=(3, 5), P=60, alpha=0.5)
     for t in range(40):
         g = sample_network(p_small, SeedSpec(ACCEPT_SEED + 7, t)).graph()
-        if vertex_connectivity(g)[0] > min_degree(g):
+        if vertex_connectivity(g) > min_degree(g):
             violations += 1
     # (b) per-class mean edge probabilities are ordered
     order_viol = 0

@@ -12,8 +12,8 @@ from scipy.sparse.csgraph import (breadth_first_order, depth_first_order,
 
 import keygraph.analysis
 from keygraph import (Graph, ModelParams, SeedSpec, is_connected,
-                      is_k_connected, min_degree, sample_network,
-                      vertex_connectivity)
+                      is_k_connected, min_degree, minimum_vertex_cut,
+                      sample_network, vertex_connectivity)
 from keygraph.analysis import (_fan, _is_biconnected, _LocalConnectivity,
                                component_count)
 from keygraph.experiments import fig2_spec, fig4_specs
@@ -204,33 +204,33 @@ class TestMinDegree:
 
 class TestVertexConnectivity:
     def test_path_has_unique_articulation(self):
-        kappa, cut = vertex_connectivity(graph(3, PATH3))
+        kappa, cut = minimum_vertex_cut(graph(3, PATH3))
         assert kappa == 1
         assert list(cut) == [1]
 
     def test_cycle(self):
-        kappa, cut = vertex_connectivity(graph(5, CYCLE5))
+        kappa, cut = minimum_vertex_cut(graph(5, CYCLE5))
         assert kappa == 2
         assert len(cut) == 2
 
     def test_disconnected(self):
-        kappa, cut = vertex_connectivity(graph(4, [(0, 1), (2, 3)]))
+        kappa, cut = minimum_vertex_cut(graph(4, [(0, 1), (2, 3)]))
         assert kappa == 0 and len(cut) == 0
 
     def test_complete_convention(self):
-        kappa, cut = vertex_connectivity(graph(5, K5))
+        kappa, cut = minimum_vertex_cut(graph(5, K5))
         assert kappa == 4 and len(cut) == 0
 
     def test_two_nodes(self):
-        assert vertex_connectivity(graph(2, [(0, 1)]))[0] == 1
-        assert vertex_connectivity(graph(2, []))[0] == 0
+        assert vertex_connectivity(graph(2, [(0, 1)])) == 1
+        assert vertex_connectivity(graph(2, [])) == 0
 
     def test_matches_brute_force_on_small_graphs(self):
         rng = np.random.default_rng(314)
         for _ in range(300):
             n = int(rng.integers(2, 8))
             g = random_graph(rng, n, float(rng.choice([0.2, 0.5, 0.8])))
-            kappa, cut = vertex_connectivity(g)
+            kappa, cut = minimum_vertex_cut(g)
             assert kappa == brute_vertex_connectivity(n, g.edges)
             if cut.size:
                 assert not connected_after_removal(n, g.edges, cut)
@@ -242,7 +242,7 @@ class TestVertexConnectivity:
         while checked < 40:
             n = int(rng.integers(4, 8))
             g = random_graph(rng, n, 0.5)
-            kappa, cut = vertex_connectivity(g)
+            kappa, cut = minimum_vertex_cut(g)
             if not 1 <= kappa <= 4 or cut.size == 0:
                 continue
             checked += 1
@@ -251,7 +251,7 @@ class TestVertexConnectivity:
                     assert connected_after_removal(n, g.edges, sub)
 
     def test_star_cut_is_center(self):
-        kappa, cut = vertex_connectivity(graph(5, [(0, i) for i in range(1, 5)]))
+        kappa, cut = minimum_vertex_cut(graph(5, [(0, i) for i in range(1, 5)]))
         assert kappa == 1 and list(cut) == [0]
 
 
@@ -264,14 +264,14 @@ class TestVertexConnectivity:
             if not is_connected(g) or g.is_complete():
                 continue
             checked += 1
-            kappa, cut = vertex_connectivity(g)
+            kappa, cut = minimum_vertex_cut(g)
             ref_kappa, ref_cut = full_pair_loop(g)
             assert kappa == ref_kappa and cut.tolist() == ref_cut.tolist()
 
     @settings(max_examples=300, deadline=None)
     @given(small_graphs(min_n=2, max_n=10))
     def test_skipping_loop_matches_full_loop_and_oracle(self, g):
-        kappa, cut = vertex_connectivity(g)
+        kappa, cut = minimum_vertex_cut(g)
         assert kappa == brute_vertex_connectivity(g.n, g.edges)
         if is_connected(g) and not g.is_complete():
             ref_kappa, ref_cut = full_pair_loop(g)
@@ -288,7 +288,7 @@ class TestVertexConnectivity:
                  + list(itertools.combinations(range(6, 11), 2))
                  + [(0, 1), (0, 2), (0, 6), (0, 7), (3, 8)])
         g = graph(11, edges)
-        kappa, cut = vertex_connectivity(g)
+        kappa, cut = minimum_vertex_cut(g)
         assert kappa == 2 == brute_vertex_connectivity(11, g.edges)
         assert cut.tolist() == full_pair_loop(g)[1].tolist() == [0, 3]
         assert is_k_connected(g, 2) and not is_k_connected(g, 3)
@@ -303,7 +303,7 @@ class TestVertexConnectivity:
                  + [(0, 1), (0, 2), (0, 3), (0, 8), (0, 9),
                     (1, 4), (1, 5), (1, 10), (1, 11)])
         g = graph(14, edges)
-        kappa, cut = vertex_connectivity(g)
+        kappa, cut = minimum_vertex_cut(g)
         assert kappa == 2 == brute_vertex_connectivity(14, g.edges)
         assert cut.tolist() == full_pair_loop(g)[1].tolist() == [0, 1]
 
@@ -322,21 +322,50 @@ class TestVertexConnectivity:
             return found
 
         monkeypatch.setattr(keygraph.analysis, "_fan", fan)
-        kappa, cut = vertex_connectivity(g)
+        kappa, cut = minimum_vertex_cut(g)
         ref_kappa, ref_cut = full_pair_loop(g)
         assert kappa == ref_kappa and cut.tolist() == ref_cut.tolist()
         assert sinks_proven
 
     def test_low_min_degree_needs_one_pair(self, monkeypatch):
         # a pendant node (delta 1) and a cycle (delta 2, biconnected) each
-        # stop after the first pair's matching; one flow then yields the cut
+        # stop after the first pair's matching; kappa alone runs no flow,
+        # and one flow then yields the cut
         calls = count_calls(monkeypatch, "maximum_flow",
                             "maximum_bipartite_matching")
         ring = [(i, (i + 1) % 12) for i in range(12)]
         for n, edges, kappa in ((13, ring + [(0, 12)], 1), (12, ring, 2)):
             calls.update(dict.fromkeys(calls, 0))
-            assert vertex_connectivity(graph(n, edges))[0] == kappa
+            assert vertex_connectivity(graph(n, edges)) == kappa
+            assert calls == {"maximum_flow": 0, "maximum_bipartite_matching": 1}
+            calls.update(dict.fromkeys(calls, 0))
+            assert minimum_vertex_cut(graph(n, edges))[0] == kappa
             assert calls == {"maximum_flow": 1, "maximum_bipartite_matching": 1}
+
+    def test_kappa_alone_equals_minimum_vertex_cut_and_the_oracle(self):
+        rng = np.random.default_rng(5000)
+        for _ in range(5000):
+            n = int(rng.integers(3, 14))
+            g = random_graph(rng, n, float(rng.choice([0.2, 0.35, 0.5, 0.65, 0.8])))
+            kappa = vertex_connectivity(g)
+            assert kappa == minimum_vertex_cut(g)[0]
+            assert kappa == brute_vertex_connectivity(n, g.edges)
+
+    def test_kappa_alone_equals_minimum_vertex_cut_on_figure_samples(self, monkeypatch):
+        calls = count_calls(monkeypatch, "maximum_flow")
+        fig2 = fig2_spec(trials=1)
+        designs = [spec.base for spec in fig4_specs(trials=1)]
+        designs += [fig2.base.replace(K=fig2.rule.ring_sizes(K1))
+                    for K1 in (15, 20, 25, 30, 35, 40)]
+        for params in designs:
+            for seed in (100, 101):
+                g = sample_network(params, SeedSpec(seed, 0)).graph()
+                calls["maximum_flow"] = 0
+                kappa = vertex_connectivity(g)
+                assert calls["maximum_flow"] == 0
+                kappa_cut, cut = minimum_vertex_cut(g)
+                assert kappa == kappa_cut == cut.size
+                assert calls["maximum_flow"] == (kappa > 0)  # none if disconnected
 
 
 class TestLocalConnectivity:
@@ -365,7 +394,7 @@ class TestLocalConnectivity:
             g = sample_network(p, SeedSpec(seed, 0)).graph()
             pairs = len(even_tarjan_pairs(g))
             calls["maximum_bipartite_matching"] = 0
-            kappa = vertex_connectivity(g)[0]
+            kappa = vertex_connectivity(g)
             assert kappa >= 3
             assert calls["maximum_bipartite_matching"] <= pairs // 10
             calls["maximum_bipartite_matching"] = 0
@@ -395,7 +424,7 @@ class TestLocalConnectivity:
             for seed in (7, 8):
                 g = sample_network(params, SeedSpec(seed, 0)).graph()
                 calls["maximum_bipartite_matching"] = 0
-                kappa = vertex_connectivity(g)[0]
+                kappa = vertex_connectivity(g)
                 got[(*key, seed)] = (kappa, calls["maximum_bipartite_matching"])
                 assert is_k_connected(g, kappa) and not is_k_connected(g, kappa + 1)
         assert got == pinned
@@ -556,7 +585,7 @@ class TestDeleteAndCheck:
         while checked < 30:
             n = int(rng.integers(4, 8))
             g = random_graph(rng, n, 0.55)
-            kappa, cut = vertex_connectivity(g)
+            kappa, cut = minimum_vertex_cut(g)
             if kappa < 1 or cut.size == 0:
                 continue
             checked += 1
@@ -570,7 +599,7 @@ class TestDeleteAndCheck:
         while checked < 20:
             n = int(rng.integers(5, 8))
             g = random_graph(rng, n, 0.5)
-            kappa, cut = vertex_connectivity(g)
+            kappa, cut = minimum_vertex_cut(g)
             if kappa < 2 or cut.size < 2:
                 continue
             checked += 1
@@ -584,14 +613,14 @@ class TestReport:
         p = ModelParams(n=40, mu=(0.5, 0.5), K=(3, 5), P=100, alpha=0.6)
         for t in range(25):
             g = sample_network(p, SeedSpec(31337, t)).graph()
-            kappa, _ = vertex_connectivity(g)
+            kappa = vertex_connectivity(g)
             assert kappa <= min_degree(g)
             assert is_connected(g) == (component_count(g) == 1)
             assert is_connected(g) == (kappa >= 1)
 
     def test_report_on_disconnected_graph(self):
         g = graph(4, [(0, 1), (2, 3)])
-        kappa, cut = vertex_connectivity(g)
+        kappa, cut = minimum_vertex_cut(g)
         assert kappa == 0
         assert cut.size == 0
         assert component_count(g) == 2
@@ -602,7 +631,7 @@ class TestReport:
         while checked < 25:
             n = int(rng.integers(4, 8))
             g = random_graph(rng, n, 0.5)
-            kappa, cut = vertex_connectivity(g)
+            kappa, cut = minimum_vertex_cut(g)
             if kappa < 1 or cut.size == 0:
                 continue
             checked += 1

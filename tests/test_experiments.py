@@ -13,9 +13,9 @@ import pytest
 import keygraph.experiments as ex
 from keygraph import (ExperimentResult, ExperimentSpec, KeyProfileRule,
                       ModelParams, RecordFlags, SeedSpec, is_connected,
-                      load_spec, run_experiment, sample_network,
-                      vertex_connectivity, wilson_halfwidth, write_csv,
-                      write_dat)
+                      load_spec, minimum_vertex_cut, run_experiment,
+                      sample_network, vertex_connectivity, wilson_halfwidth,
+                      write_csv, write_dat)
 from keygraph.experiments import (CSV_COLUMNS, fig1_specs, fig2_spec,
                                   fig3_specs, fig4_specs, spec_from_dict)
 from keygraph.rng import derive_master
@@ -290,7 +290,7 @@ class TestRunExperiment:
         count = 0
         for t in range(spec.trials):
             g = sample_network(params, SeedSpec(row_master, t)).graph()
-            if vertex_connectivity(g)[0] >= 2:
+            if vertex_connectivity(g) >= 2:
                 count += 1
         assert row.count_kconn == count
 
@@ -327,7 +327,7 @@ class TestDeletionExperiment:
         row_master = derive_master(spec.master_seed, 0)
         for t in range(spec.trials):
             g = sample_network(spec.base, SeedSpec(row_master, t)).graph()
-            kappa, cut = vertex_connectivity(g)
+            kappa, cut = minimum_vertex_cut(g)
             for d in range(0, kappa + 1):
                 rule_survives = kappa > d
                 literal = connected_after_removal(g.n, g.edges, cut[:d].tolist())

@@ -219,8 +219,10 @@ class TestDistributions:
 class TestBatchedDraws:
     """The vectorized draws against one-node, one-row scalar references."""
 
+    # about 1 - exp(-K^2/2P) of the rows draw some key twice and run
+    # Floyd's steps: a fifth at (31, 2000), 70% at (156, 10**4)
     @pytest.mark.parametrize("K,P", [(1, 64), (1, 10**4), (3, 192), (7, 500),
-                                     (40, 10**4), (156, 10**4)])
+                                     (31, 2000), (40, 10**4), (156, 10**4)])
     def test_batched_floyd_matches_scalar_reference(self, K, P):
         assert K <= P // 64  # the Floyd branch
         u = SeedSpec(99, K).stream().random((300, K))
