@@ -250,7 +250,9 @@ def _weakest_pair(g: Graph) -> tuple:
     docstring) is skipped: a sink t with ``_fan(adj, t, tied, b) >= b``,
     and a pair (x, y) with ``_fan(adj, y, N(x), b) >= b``.  The neighbor
     lists ``adj`` are built once per call; the tied mask holds N(s), and
-    each sink joins it as it is reached, before its fan.
+    each sink joins it as it is reached, before its fan.  A sink's direct
+    count, its tied neighbors in N(s) or below it, is known before the
+    loop, so a sink whose count reaches b skips the fan call too.
     The loop stops at a proven lower bound: 1 (connected), or 2 once the
     graph is known biconnected.
     """
@@ -267,6 +269,13 @@ def _weakest_pair(g: Graph) -> tuple:
     tied = [False] * n
     for v in nb:
         tied[v] = True
+    # edge (a, b), a < b: a is tied when b is reached unless a == s, and b
+    # is tied when a is reached if b is in N(s)
+    a, b = g.edges[:, 0], g.edges[:, 1]
+    in_nb = np.zeros(n, dtype=bool)
+    in_nb[nb] = True
+    direct = np.bincount(np.concatenate([b[a != s], a[in_nb[b]]]),
+                         minlength=n).tolist()
     near, row = None, None  # near is N(row)
     pairs = itertools.chain(
         [(s, t) for t in range(n) if t != s and not tied[t]],  # tied is N(s)
@@ -279,6 +288,8 @@ def _weakest_pair(g: Graph) -> tuple:
     for src, dst in pairs:
         if src == s:
             tied[dst] = True  # its fan or its matching proves it below
+            if direct[dst] >= best:
+                continue
             ends = tied
         else:
             if src != row:

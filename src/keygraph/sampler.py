@@ -15,16 +15,19 @@ always reproduces the same network, bit for bit:
 3. channel indicators: one uniform per unordered node pair, row-major
    (pairs (0,1)..(0,n-1), then (1,2)..), compared against alpha.
 
-The work is batched without changing that order: rings of one size draw
-together (only rows with a repeated draw run Floyd's steps), channel
-uniforms come in blocks of whole rows that each key-sharing pair indexes
-triangularly, and key-sharing pairs come from a key -> holders index, not a
-test of every pair.  The result equals the per-node, per-row, per-pair loops
-over the same stream, bit for bit.
+The work is batched without changing that order.  Rings of one size draw
+together (only rows with a repeated draw run Floyd's steps).  Key-sharing
+pairs come from a key -> holders index, not a test of every pair: each
+marks one byte at its own position in the channel stream, so the channel
+reads the raw Philox words of whole-row blocks only at the marked
+positions, and the marks come out deduplicated and in row-major order.
+The result equals the per-node, per-row, per-pair loops over the same
+stream, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,8 +83,10 @@ def _draw_rings(u: np.ndarray, P: int) -> np.ndarray:
     Row i consumes u[i] in order.  Small rings (K <= P/64) use Floyd's subset
     sampling: step s draws t = floor(u[:, s] * (j+1)) with j = P-K+s, and
     takes j instead when t is already in the row.  A row whose K draws are
-    distinct never takes j, so it is just its sorted draws; only rows with a
-    repeated draw run the steps.
+    distinct never takes j, so it is just its sorted draws.  In the other
+    rows each draw equal to an earlier draw takes its j at once; that is
+    Floyd's result unless a later draw equals such a j, so only rows left
+    with a repeated key run the steps.
     """
     m, K = u.shape
     if K > P // _FLOYD_MAX_RING_FRACTION:
@@ -100,40 +105,75 @@ def _draw_rings(u: np.ndarray, P: int) -> np.ndarray:
     repeat = np.flatnonzero((out[:, 1:] == out[:, :-1]).any(axis=1))
     if repeat.size:
         t = t[repeat]
-        for step, j in enumerate(range(P - K, P)):
-            t[(t[:, :step] == t[:, step, None]).any(axis=1), step] = j
-        t.sort(axis=1)
-        out[repeat] = t
+        # a stable sort puts each repeated draw after its first occurrence
+        order = np.argsort(t, axis=1, kind="stable")
+        rows, cols = np.nonzero(np.diff(np.take_along_axis(t, order, 1), axis=1) == 0)
+        later = order[rows, cols + 1]
+        ring = t.copy()
+        ring[rows, later] = P - K + later
+        ring.sort(axis=1)
+        left = np.flatnonzero((ring[:, 1:] == ring[:, :-1]).any(axis=1))
+        if left.size:
+            t = t[left]
+            for step, j in enumerate(range(P - K, P)):
+                t[(t[:, :step] == t[:, step, None]).any(axis=1), step] = j
+            t.sort(axis=1)
+            ring[left] = t
+        out[repeat] = ring
     return out
 
 
-def _key_sharing_pairs(n: int, ring_data: np.ndarray, ring_node: np.ndarray) -> np.ndarray:
-    """All node pairs (u < v) whose rings intersect, via a key -> holders index.
+def _channel_start(n: int) -> np.ndarray:
+    """start[x] = x(2n-x-1)/2, where row x of the channel stream begins.
 
-    Sorts the flat (key, node) incidence list by key, then node, and emits,
-    for every shift d, the pairs of holders d apart within a key run.
-    Duplicates from pairs sharing several keys are removed.  Returns an
-    (m, 2) int64 array in lexicographic order.  Needs at least one key.
+    Pair (x, y), x < y, reads word start[x] + y-x-1; start[n-1] = start[n]
+    is the stream's length.
     """
-    incidence = np.sort(ring_data * n + ring_node)
-    keys, nodes = np.divmod(incidence, n)
-    run_start = np.empty(keys.size, dtype=bool)
-    run_start[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
-    run_id = np.cumsum(run_start) - 1
-    codes = []
+    start = np.arange(n + 1, dtype=np.int64)
+    return start * (2 * n - start - 1) // 2
+
+
+def _pair_positions(n: int, ring_data: np.ndarray, ring_node: np.ndarray) -> np.ndarray:
+    """Channel positions of the node pairs whose rings intersect.
+
+    A key -> holders index: the (key, node) incidences, packed as
+    ``key << bits | node`` and sorted, list each key's holders in ascending
+    order.  Holders d apart under one key form a pair x < y, at position
+    start[x] + y-x-1 (:func:`_channel_start`); step d keeps only the
+    incidences whose key run reaches d further, a set that shrinks as d
+    grows.  A pair appears once per shared key, in no particular order.
+    """
+    bits = (n - 1).bit_length()
+    incidence = np.sort(ring_data << bits | ring_node)
+    keys = np.append(incidence >> bits, -1)  # the sentinel ends the last run
+    nodes = incidence & ((1 << bits) - 1)
+    base = (_channel_start(n)[:-1] - np.arange(n) - 1)[nodes]
+    pos = []
+    i = np.flatnonzero(keys[1:] == keys[:-1])
     d = 1
-    while True:
-        same = run_id[d:] == run_id[:-d]
-        if not same.any():
-            break
-        codes.append(nodes[:-d][same] * n + nodes[d:][same])
+    while i.size:
+        pos.append(base[i] + nodes[i + d])
         d += 1
-    if not codes:
-        return np.empty((0, 2), dtype=np.int64)
-    codes = np.sort(np.concatenate(codes))
-    uniq = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
-    return np.stack([uniq // n, uniq % n], axis=1)
+        i = i[keys[i + d] == keys[i]]
+    return np.concatenate(pos) if pos else np.empty(0, dtype=np.int64)
+
+
+def _mark_shared(pos: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Byte mask over channel positions [lo, hi): True where a pair in
+    ``pos`` (from :func:`_pair_positions`) shares a key."""
+    mark = np.zeros(hi - lo, dtype=bool)
+    mark[pos[(pos >= lo) & (pos < hi)] - lo] = True
+    return mark
+
+
+def _channel_on(words: np.ndarray, alpha: float) -> np.ndarray:
+    """Channel states from raw Philox words: ``Generator.random() < alpha``.
+
+    Generator.random turns word w into u = (w >> 11) * 2**-53, exactly, so
+    u < alpha iff (w >> 11) < ceil(alpha * 2**53): the same test, bit for
+    bit, on the same stream, without converting every word to a double.
+    """
+    return (words >> 11) < np.uint64(math.ceil(alpha * 2.0 ** 53))
 
 
 def sample_network(params: ModelParams, seed: SeedSpec) -> SampledNetwork:
@@ -155,30 +195,31 @@ def sample_network(params: ModelParams, seed: SeedSpec) -> SampledNetwork:
         ring_data[pos] = _draw_rings(u_rings[pos], P)
     ring_node = np.repeat(np.arange(n, dtype=np.int64), sizes)
 
-    shared = _key_sharing_pairs(n, ring_data, ring_node)
-    # Row x of the channel stream starts at start[x] = x(2n-x-1)/2, so pair
-    # (x, y) reads uniform start[x] + y-x-1; ``flat`` ascends with ``shared``.
-    start = np.arange(n + 1, dtype=np.int64)
-    start = start * (2 * n - start - 1) // 2
-    flat = start[shared[:, 0]] + shared[:, 1] - shared[:, 0] - 1
-    on = np.empty(flat.size, dtype=bool)
+    shared = _pair_positions(n, ring_data, ring_node)
+    start = _channel_start(n)
+    kept = []
     x0 = 0
     while x0 < n - 1:
-        # Rows [x0, x1): at most _CHANNEL_CHUNK uniforms, or a single long row.
+        # Rows [x0, x1): at most _CHANNEL_CHUNK words, or a single long row.
         x1 = int(np.searchsorted(start, start[x0] + _CHANNEL_CHUNK, "right")) - 1
         x1 = max(x0 + 1, x1)
-        lo = start[x0]
-        u = rng.random(int(start[x1] - lo))
-        a, b = np.searchsorted(flat, (lo, start[x1]))
-        on[a:b] = u[flat[a:b] - lo] < alpha
+        lo, hi = int(start[x0]), int(start[x1])
+        words = rng.bit_generator.random_raw(hi - lo)
+        flat = np.flatnonzero(_mark_shared(shared, lo, hi))
+        kept.append(flat[_channel_on(words[flat], alpha)] + lo)
         x0 = x1
+    on = np.concatenate(kept)
+    x = np.searchsorted(start, on, "right") - 1
+    edges = np.empty((on.size, 2), dtype=np.int32)
+    edges[:, 0] = x
+    edges[:, 1] = on - start[x] + x + 1
 
     return SampledNetwork(
         params=params,
         classes=(cls0 + 1).astype(np.int16),
         ring_data=ring_data,
         ring_indptr=indptr,
-        edges=shared[on].astype(np.int32),
+        edges=edges,
     )
 
 
@@ -266,14 +307,15 @@ def read_network(path) -> SampledNetwork:
         edges[i] = pair
     ring_data = np.array([k for ring in rings for k in ring], dtype=np.int64)
     lo, hi = edges.min(axis=1), edges.max(axis=1)
-    codes = lo * n + hi
-    shared = _key_sharing_pairs(n, ring_data, np.repeat(np.arange(n), np.diff(indptr)))
+    start = _channel_start(n)
+    codes = start[lo] + hi - lo - 1  # channel positions; self-loops fail first
+    ring_node = np.repeat(np.arange(n), np.diff(indptr))
+    shared = _mark_shared(_pair_positions(n, ring_data, ring_node), 0, int(start[n]))
     repeat = np.ones(codes.size, dtype=bool)
     repeat[np.unique(codes, return_index=True)[1]] = False
     for fault, what in ((lo == hi, "self-loop"),
                         (repeat, "repeats an earlier edge"),
-                        (~np.isin(codes, shared[:, 0] * n + shared[:, 1]),
-                         "its endpoints share no key")):
+                        (~shared[codes], "its endpoints share no key")):
         if fault.any():
             i = int(np.argmax(fault))
             raise bad(edge_lines[i][0], f"edge {edges[i, 0]} {edges[i, 1]}: {what}")

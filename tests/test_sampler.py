@@ -5,12 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import keygraph
 import keygraph.sampler
 from keygraph import (ModelParams, SeedSpec, edge_prob_key, read_network,
                       sample_network, write_network)
-from keygraph.sampler import _draw_rings, _key_sharing_pairs
+from keygraph.rng import philox_key
+from keygraph.sampler import (_channel_on, _draw_rings, _mark_shared,
+                              _pair_positions)
 from oracles import (factor_pairs, floyd_ring, naive_intersects,
                      per_row_channel_pairs)
 
@@ -32,9 +36,9 @@ def intersect_rings(a, b) -> bool:
     are ``a`` and ``b``."""
     data = np.concatenate([a, b]).astype(np.int64)
     node = np.repeat(np.arange(2, dtype=np.int64), [len(a), len(b)])
-    pairs = _key_sharing_pairs(2, data, node).tolist()
-    assert pairs in ([], [[0, 1]])
-    return bool(pairs)
+    pos = _pair_positions(2, data, node)
+    assert set(pos.tolist()) <= {0}  # (0, 1) is the stream's only position
+    return bool(_mark_shared(pos, 0, 1)[0])
 
 
 class TestIntersectRings:
@@ -228,6 +232,16 @@ class TestBatchedDraws:
         u = SeedSpec(99, K).stream().random((300, K))
         assert _draw_rings(u, P).tolist() == [floyd_ring(row, P) for row in u]
 
+    def test_floyd_chain_runs_the_steps(self):
+        # draws 5, 5, 190: the repeat takes j = 190, which the third draw
+        # then repeats, so Floyd's third step takes j = 191; the rows after
+        # it repeat once (one pass suffices) and never (no repair)
+        u = np.array([[5.5 / 190, 5.5 / 191, 190.5 / 192],
+                      [5.5 / 190, 5.5 / 191, 7.5 / 192],
+                      [1.5 / 190, 2.5 / 191, 3.5 / 192]])
+        assert floyd_ring(u[0], 192) == [5, 190, 191]
+        assert _draw_rings(u, 192).tolist() == [floyd_ring(row, 192) for row in u]
+
     @pytest.mark.parametrize("n,K,P,alpha,chunk", [
         (120, (3, 5, 8), 600, 0.3, None),
         (40, (3, 5, 8), 600, 0.6, 7),  # rows longer and shorter than a chunk
@@ -252,6 +266,41 @@ class TestBatchedDraws:
                                       if naive_intersects(ring[x], ring[y])]
 
 
+def stream_pair(m: int):
+    """m raw Philox words and the m uniforms Generator.random makes of the
+    same key."""
+    key = philox_key(77, 3)
+    words = np.random.Philox(key=key).random_raw(m)
+    return words, np.random.Generator(np.random.Philox(key=key)).random(m)
+
+
+class TestRawChannelWords:
+    """The channel's test on raw words against ``Generator.random() < alpha``."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.4, 2.0 ** -53,
+                                       float(np.nextafter(0.4, 0))])
+    def test_matches_uniform_test(self, alpha):
+        words, u = stream_pair(4096)
+        assert np.array_equal(_channel_on(words, alpha), u < alpha)
+
+    def test_a_tie_is_off_and_the_next_double_up_is_on(self):
+        words, u = stream_pair(4096)
+        # below 1/2 the doubles are finer than the uniforms' 2**-53 grid, so
+        # alpha * 2**53 is not an integer one step above a uniform
+        i = int(np.flatnonzero((u >= 0.25) & (u < 0.5))[0])
+        for alpha, state in ((float(u[i]), False),
+                             (float(np.nextafter(u[i], 1)), True)):
+            on = _channel_on(words, alpha)
+            assert on[i] == state
+            assert np.array_equal(on, u < alpha)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    def test_any_alpha(self, alpha):
+        words, u = stream_pair(512)
+        assert np.array_equal(_channel_on(words, alpha), u < alpha)
+
+
 class TestDumpFormat:
     def test_round_trip(self, tmp_path):
         p = ModelParams(n=30, mu=(0.4, 0.6), K=(3, 5), P=40, alpha=0.55)
@@ -273,3 +322,20 @@ class TestDumpFormat:
         write_network(net, path)
         expect = (DATA / "golden_network.txt").read_bytes()
         assert path.read_bytes() == expect
+
+    @pytest.mark.parametrize("edge,what", [("0 0", "self-loop"),
+                                           (None, "its endpoints share no key")])
+    def test_rejected_edge_names_its_line(self, tmp_path, edge, what):
+        p = ModelParams(n=30, mu=(0.4, 0.6), K=(3, 5), P=40, alpha=0.55)
+        net = sample_network(p, SeedSpec(2024, 1))
+        if edge is None:
+            ring = rings(net)
+            edge = next(f"{x} {y}" for x in range(30) for y in range(x + 1, 30)
+                        if not naive_intersects(ring[x], ring[y]))
+        path = tmp_path / "net.txt"
+        write_network(net, path)
+        lines = path.read_text().splitlines()
+        lines.insert(3 + 30, edge)  # the first edge line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"line {3 + 30 + 1}: edge {edge}: {what}$"):
+            read_network(path)
