@@ -3,31 +3,29 @@
 Vertex connectivity follows Even and Tarjan: the global value is the minimum
 of the local connectivities kappa(s, t) over (a) all nodes non-adjacent to a
 fixed minimum-degree node s and (b) all non-adjacent pairs of neighbors of s.
-Each local value is the size of a maximum bipartite matching (Hopcroft-Karp)
-on a node-split graph; see :class:`_LocalConnectivity`.
-:func:`vertex_connectivity` returns that minimum and runs no flow.  Only
-:func:`minimum_vertex_cut` recovers a cut, from one max flow on the classic
-node-splitting reduction (every node v becomes an arc v_in -> v_out of
-capacity one), run for the minimum pair only.
-Matchings, flows and graph searches are delegated to scipy.sparse.csgraph;
-everything around them (reductions, pair enumeration, cut recovery,
-articulation test, degree bookkeeping) is local.
+Each local value is a fan: by Menger, kappa(x, y) is the most paths from y
+to distinct neighbors of x in G - x that share only y.  :func:`_fan` counts
+them exactly, a greedy pass of one- and two-edge paths first and then
+augmenting paths on the node-split residual graph, in plain Python lists.
+:func:`vertex_connectivity` returns the minimum and runs no flow.  Only
+:func:`minimum_vertex_cut` recovers a cut, from one scipy max flow on the
+classic node-splitting reduction (every node v becomes an arc v_in -> v_out
+of capacity one), run for the minimum pair only.
 
-Almost every pair only confirms the bound, so a fan of disjoint paths
-skips it.  With b the least value so far, call u *tied* when no separator
-of fewer than b nodes, s and u outside it, puts u apart from s.  Every
-neighbor of s is tied, and so is every sink already reached, whether its
-fan proved it or its matching gave at least b (Menger).  A sink t with b
-paths to distinct tied nodes, disjoint apart from t, is tied too: a
+Almost every pair only confirms the bound, so it is skipped and only a pair
+that lowers it is evaluated.  With b the least value so far, call u *tied*
+when no separator of fewer than b nodes, s and u outside it, puts u apart
+from s.  Every neighbor of s is tied, and so is every sink already reached,
+whether its fan proved it or its value became b (Menger).  A sink t
+with b paths to distinct tied nodes, disjoint apart from t, is tied too: a
 separator of fewer than b nodes that avoids s and t misses one whole path,
 whose tied end still reaches s.  So kappa(s, t) >= b, t cannot lower b, and
-its matching is skipped.  A tie stays valid when b falls.  The paths are
-single edges to tied neighbors and then two-hop paths t, w, z, both found
-greedily by :func:`_fan`.  A pair (x, y) of neighbors of s, part (b), is
-skipped when :func:`_fan` finds b paths y, z, x or y, w, z, x that are
-disjoint apart from x and y: kappa(x, y) >= b by Menger.  Only pairs that
-cannot lower b are skipped, so the first pair of least kappa, and the cut
-from it, are those of the full enumeration.
+it is skipped.  The largest such fan is at least kappa(s, t), since every
+s-t path meets N(s); so a sink whose exact fan stays below b does lower b.
+A pair (x, y) of neighbors of s, part (b), takes the fan from y to N(x) in
+G - x, which is kappa(x, y) itself.  A tie stays valid when b falls.  Only
+pairs that cannot lower b are skipped, so the first pair of least kappa,
+and the cut from it, are those of the full enumeration.
 
 All functions are pure; scratch state is per call, so concurrent use on
 distinct graphs is safe.
@@ -41,8 +39,7 @@ from numbers import Integral
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import (breadth_first_order, connected_components,
-                                  depth_first_order, maximum_bipartite_matching,
-                                  maximum_flow)
+                                  depth_first_order, maximum_flow)
 
 from .model import checked_int
 
@@ -139,68 +136,6 @@ def _split_flow_matrix(g: Graph) -> csr_matrix:
     return csr_matrix((caps, (rows, cols)), shape=(2 * n, 2 * n), dtype=np.int32)
 
 
-class _LocalConnectivity:
-    """kappa(s, t) of non-adjacent nodes s, t of one graph, by matching.
-
-    The bipartite graph H has a row v+ and a column v- per node v, a row
-    sigma_x per neighbor x of s and a column tau_y per neighbor y of t.
-    Row v+ holds the self arc v+ -> v- first, then v+ -> u- for every
-    neighbor u; rows s+ and t+ keep only the self arc; y+ -> tau_y for y in
-    N(t) and sigma_x -> x- for x in N(s).  A matching is the identity on the
-    nodes off a set of internally disjoint s-t paths s, x, ..., y, t plus
-    sigma_x -> x-, the successor arcs along each path and y+ -> tau_y, one
-    sigma row more per path; so kappa(s, t) = nu(H) - n.
-
-    One CSR template, row v being [v, N(v), v], is edited in place for each
-    pair and restored after it: rows s and t are filled with their self arc,
-    the spare last slot of y becomes tau_y, and the sigma rows after the
-    node rows hold N(s).  A repeated arc does not change a matching, and the
-    unused sigma rows stay empty and the unused tau columns isolated, so H
-    keeps the shape (n + Delta) x (n + Delta) for every pair.
-    """
-
-    def __init__(self, g: Graph):
-        n, deg = g.n, g.degrees
-        span = int(deg.max())
-        nnz = int(g.indices.size) + 2 * n
-        self.ramp = np.arange(1, span + 1)
-        ptr = np.empty(n + span + 1, dtype=np.int32)
-        ptr[0] = 0
-        np.cumsum(deg + 2, out=ptr[1:n + 1])
-        # One slot per sigma row for now, or scipy would prune the tail.
-        ptr[n + 1:] = nnz + self.ramp
-        starts, spare = ptr[:n], ptr[1:n + 1] - 1
-        idx = np.zeros(nnz + span, dtype=np.int32)
-        idx[starts] = idx[spare] = np.arange(n)
-        inner = np.ones(nnz, dtype=bool)
-        inner[starts] = inner[spare] = False
-        idx[:nnz][inner] = g.indices
-        mat = csr_matrix((np.ones(idx.size, dtype=np.int8), idx, ptr),
-                         shape=(n + span, n + span))
-        self.g, self.n, self.nnz, self.mat = g, n, nnz, mat
-        # Edit the arrays scipy holds; they are what the matching reads.
-        self.idx, self.ptr = mat.indices, mat.indptr
-        self.template = self.idx.copy()
-        self.spare = spare
-        self.tau = n + np.arange(span, dtype=np.int32)
-        self.s = None
-
-    def __call__(self, s: int, t: int) -> int:
-        idx, ptr, n = self.idx, self.ptr, self.n
-        if s != self.s:
-            ns = self.g.neighbors(s)
-            idx[self.nnz:self.nnz + ns.size] = ns
-            ptr[n + 1:] = self.nnz + np.minimum(self.ramp, ns.size)
-            self.s = s
-        nt = self.g.neighbors(t)
-        spare = self.spare[nt]
-        rs, rt = slice(ptr[s], ptr[s + 1]), slice(ptr[t], ptr[t + 1])
-        idx[rs], idx[rt], idx[spare] = s, t, self.tau[:nt.size]
-        matched = maximum_bipartite_matching(self.mat, perm_type="column")
-        idx[rs], idx[rt], idx[spare] = self.template[rs], self.template[rt], nt
-        return int(np.count_nonzero(matched >= 0)) - n
-
-
 def _cut_from_flow(g: Graph, mat: csr_matrix, flow, src: int) -> np.ndarray:
     """Recover the source-side minimum vertex cut of a max flow from ``src``."""
     res = (mat - flow.flow).tocsr()
@@ -210,15 +145,22 @@ def _cut_from_flow(g: Graph, mat: csr_matrix, flow, src: int) -> np.ndarray:
     return np.flatnonzero(reach[0::2] & ~reach[1::2]).astype(np.int32)
 
 
-def _fan(adj: list, t: int, ends: list, need: int) -> int:
-    """Disjoint paths from ``t`` to distinct nodes of ``ends``, at most ``need``.
+def _fan(adj: list, t: int, ends: list, need: int, avoid: int = -1) -> int:
+    """The most paths from ``t`` to distinct nodes of ``ends`` that share
+    only t and miss ``avoid``, capped at ``need`` (exact).
 
-    Greedy: first every neighbor z of t in ``ends`` (path t, z), then for
-    each other neighbor w of t the first node z of ``ends`` next to w that
-    is neither t, a neighbor of t nor an end already taken (path t, w, z).
-    The paths meet only at t, so the count is a lower bound on the largest
-    such fan.  ``adj`` holds each node's neighbor list; ``ends`` is a node
-    mask (a list), only read, and t never counts as an end.
+    A greedy pass first: every neighbor z of t in ``ends`` (path t, z), then
+    for each other neighbor w of t the first node z of ``ends`` next to w
+    that is neither t, a neighbor of t nor an end already taken (path t, w,
+    z).  While that falls short, one depth-first search per step looks for
+    an augmenting path in the residual graph of the node-split network
+    (each node v an arc v_in -> v_out of capacity one, each edge both ways),
+    checking the neighbors of each node it enters for a free end before it
+    goes deeper; when none is left the paths are a largest fan (Menger,
+    Ford-Fulkerson).  ``adj``
+    holds each node's neighbor list; ``ends`` is a node mask (a list), only
+    read, and t never counts as an end.  ``avoid`` is -1 or a node that is
+    neither next to t nor an end.
     """
     nt = adj[t]
     others = [w for w in nt if not ends[w]]
@@ -226,15 +168,60 @@ def _fan(adj: list, t: int, ends: list, need: int) -> int:
     if found >= need:
         return need
     taken = {t, *nt}
+    pred = {}  # node -> the node before it on its path
     for w in others:
         for z in adj[w]:
             if ends[z] and z not in taken:
                 taken.add(z)
+                pred[w], pred[z] = t, w
                 found += 1
                 if found == need:
                     return need
                 break
-    return found
+    for z in nt:
+        if ends[z]:
+            pred[z] = t
+    pred[t] = t  # t is never a free end, and its out node is the root
+    while found < need:
+        # back[w] = (v, u): the out node of w was entered from that of v
+        # through u_in, and the path makes v the node before u; u is None
+        # when it went back through v's own split arc, which frees v.
+        back = {t: None, avoid: None}
+        stack = [(t, iter(nt))]
+        end = -1
+        while stack:
+            v, rest = stack[-1]
+            for u in rest:
+                w = pred.get(u, u)  # a used node only leads back to its pred
+                if w not in back:
+                    back[w] = (v, u)
+                    break
+            else:  # last, back through v's own split arc if v is used
+                stack.pop()
+                w = pred.get(v, t)
+                if w in back:
+                    continue
+                back[w] = (v, None)
+            nw = adj[w]
+            for u in nw:
+                if ends[u] and u not in pred:
+                    end = u
+                    break
+            if end >= 0:
+                v = w
+                break
+            stack.append((w, iter(nw)))
+        if end < 0:
+            return found
+        pred[end] = v
+        while v != t:
+            v, u = back[v]
+            if u is None:
+                del pred[v]
+            else:
+                pred[u] = v
+        found += 1
+    return need
 
 
 def _weakest_pair(g: Graph) -> tuple:
@@ -245,16 +232,18 @@ def _weakest_pair(g: Graph) -> tuple:
 
     Fixed deterministic order: first every node t non-adjacent to the lowest
     minimum-degree node s (ascending), then every non-adjacent pair of
-    neighbors of s (ascending lexicographic).  Only a strictly smaller value
-    replaces the best pair, so a pair that a fan proves at least b (module
-    docstring) is skipped: a sink t with ``_fan(adj, t, tied, b) >= b``,
-    and a pair (x, y) with ``_fan(adj, y, N(x), b) >= b``.  The neighbor
-    lists ``adj`` are built once per call; the tied mask holds N(s), and
-    each sink joins it as it is reached, before its fan.  A sink's direct
-    count, its tied neighbors in N(s) or below it, is known before the
-    loop, so a sink whose count reaches b skips the fan call too.
-    The loop stops at a proven lower bound: 1 (connected), or 2 once the
-    graph is known biconnected.
+    neighbors of s (ascending lexicographic).  With b the least value so
+    far, only a pair below b is evaluated, and it replaces the best pair
+    (module docstring).  A sink t is skipped when its direct count, its tied
+    neighbors in N(s) or below it (known before the loop), reaches b, or
+    when ``_fan(adj, t, tied, b) >= b``; otherwise its value is
+    ``_fan(adj, s, N(t), b, t)``.  The first sink runs no skip fan, since
+    b > delta >= kappa(s, t) there.  A pair (x, y) takes
+    ``_fan(adj, y, N(x), b, x)``, which is its value when below b.  The
+    neighbor lists ``adj`` are built once per call; the tied mask holds
+    N(s), and each sink joins it as it is reached, before its fan.  The
+    loop stops at a proven lower bound: 1 (connected), or 2 once the graph
+    is known biconnected.
     """
     if g.n < 2:
         raise ValueError("vertex connectivity needs at least two nodes")
@@ -281,25 +270,23 @@ def _weakest_pair(g: Graph) -> tuple:
         [(s, t) for t in range(n) if t != s and not tied[t]],  # tied is N(s)
         ((u, v) for i, u in enumerate(nb) for nu in [set(adj[u])]
          for v in nb[i + 1:] if v not in nu))
-    local = _LocalConnectivity(g)
     # kappa(s, t) <= delta, so delta + 1 lets the first sink set the pair.
     best = len(nb) + 1
     pair = None
     for src, dst in pairs:
         if src == s:
-            tied[dst] = True  # its fan or its matching proves it below
-            if direct[dst] >= best:
+            tied[dst] = True  # its fan or its value proves it below
+            if direct[dst] >= best or (
+                    best <= len(nb) and _fan(adj, dst, tied, best) >= best):
                 continue
-            ends = tied
+            start, far = s, dst  # kappa(s, t) is the fan from s to N(t) in G - t
         else:
-            if src != row:
-                near, row = [False] * n, src
-                for v in adj[src]:
-                    near[v] = True
-            ends = near
-        if _fan(adj, dst, ends, best) >= best:
-            continue
-        value = local(src, dst)
+            start, far = dst, src  # and kappa(x, y) that from y to N(x) in G - x
+        if far != row:
+            near, row = [False] * n, far
+            for v in adj[far]:
+                near[v] = True
+        value = _fan(adj, start, near, best, far)
         if value < best:
             best, pair = value, (src, dst)
             if best == 1 or (best == 2 and _is_biconnected(g)):
@@ -332,7 +319,7 @@ def minimum_vertex_cut(g: Graph) -> tuple:
     mat = _split_flow_matrix(g)
     flow = maximum_flow(mat, 2 * src + 1, 2 * dst)
     if flow.flow_value != best:
-        raise AssertionError("max flow disagrees with the matching")
+        raise AssertionError("max flow disagrees with the fan")
     cut = _cut_from_flow(g, mat, flow, src)
     if cut.size != best:
         raise AssertionError("recovered cut size disagrees with connectivity")

@@ -14,8 +14,7 @@ import keygraph.analysis
 from keygraph import (Graph, ModelParams, SeedSpec, is_connected,
                       is_k_connected, min_degree, minimum_vertex_cut,
                       sample_network, vertex_connectivity)
-from keygraph.analysis import (_fan, _is_biconnected, _LocalConnectivity,
-                               component_count)
+from keygraph.analysis import _fan, _is_biconnected, component_count
 from keygraph.experiments import fig2_spec, fig4_specs
 from oracles import (brute_local_connectivity, brute_min_cuts,
                      brute_vertex_connectivity, connected_after_removal)
@@ -89,6 +88,23 @@ def count_calls(monkeypatch, *names):
             return _fn(*a, **kw)
 
         monkeypatch.setattr(keygraph.analysis, name, counted)
+    return calls
+
+
+def count_fans(monkeypatch, calls):
+    """Add to ``calls`` counts of the _fan calls and of the pairs the kappa
+    loop evaluates, in place: the calls with an avoided node whose result
+    falls short of need."""
+    calls.update(fans=0, pair_values=0)
+    fan = keygraph.analysis._fan
+
+    def counted(adj, t, ends, need, avoid=-1):
+        found = fan(adj, t, ends, need, avoid)
+        calls["fans"] += 1
+        calls["pair_values"] += avoid >= 0 and found < need
+        return found
+
+    monkeypatch.setattr(keygraph.analysis, "_fan", counted)
     return calls
 
 
@@ -315,9 +331,9 @@ class TestVertexConnectivity:
         s = int(np.argmin(g.degrees))
         sinks_proven = []
 
-        def fan(adj, t, ends, need, _fan=keygraph.analysis._fan):
-            found = _fan(adj, t, ends, need)
-            if found >= need and t not in adj[s]:
+        def fan(adj, t, ends, need, avoid=-1, _fan=keygraph.analysis._fan):
+            found = _fan(adj, t, ends, need, avoid)
+            if found >= need and avoid < 0:
                 sinks_proven.append(t)
             return found
 
@@ -329,18 +345,17 @@ class TestVertexConnectivity:
 
     def test_low_min_degree_needs_one_pair(self, monkeypatch):
         # a pendant node (delta 1) and a cycle (delta 2, biconnected) each
-        # stop after the first pair's matching; kappa alone runs no flow,
-        # and one flow then yields the cut
-        calls = count_calls(monkeypatch, "maximum_flow",
-                            "maximum_bipartite_matching")
+        # stop after the first pair's value; kappa alone runs no flow, and
+        # one flow then yields the cut
+        calls = count_fans(monkeypatch, count_calls(monkeypatch, "maximum_flow"))
         ring = [(i, (i + 1) % 12) for i in range(12)]
         for n, edges, kappa in ((13, ring + [(0, 12)], 1), (12, ring, 2)):
             calls.update(dict.fromkeys(calls, 0))
             assert vertex_connectivity(graph(n, edges)) == kappa
-            assert calls == {"maximum_flow": 0, "maximum_bipartite_matching": 1}
+            assert calls == {"maximum_flow": 0, "fans": 1, "pair_values": 1}
             calls.update(dict.fromkeys(calls, 0))
             assert minimum_vertex_cut(graph(n, edges))[0] == kappa
-            assert calls == {"maximum_flow": 1, "maximum_bipartite_matching": 1}
+            assert calls == {"maximum_flow": 1, "fans": 1, "pair_values": 1}
 
     def test_kappa_alone_equals_minimum_vertex_cut_and_the_oracle(self):
         rng = np.random.default_rng(5000)
@@ -369,51 +384,54 @@ class TestVertexConnectivity:
 
 
 class TestLocalConnectivity:
-    """kappa(s, t) as a bipartite matching, against separator enumeration."""
+    """kappa(s, t) as the fan from s to N(t) in G - t, against separator
+    enumeration."""
 
     @settings(max_examples=200, deadline=None)
     @given(small_graphs(min_n=2, max_n=9))
-    def test_matching_equals_the_separator_oracle(self, g):
-        # every ordered non-adjacent pair on one instance, so the template
-        # edits of each pair must be undone before the next
-        local = _LocalConnectivity(g)
+    def test_pair_value_equals_the_separator_oracle(self, g):
+        # every ordered non-adjacent pair on one instance and one set of
+        # neighbor lists, which no pair may leave changed for the next
+        adj = neighbor_lists(g)
         for s in range(g.n):
             for t in range(g.n):
-                if s != t and t not in g.neighbors(s):
-                    assert local(s, t) == brute_local_connectivity(g.n, g.edges, s, t)
+                if s != t and t not in adj[s]:
+                    near = [v in adj[t] for v in range(g.n)]
+                    assert (_fan(adj, s, near, g.n, t)
+                            == brute_local_connectivity(g.n, g.edges, s, t))
+        assert adj == neighbor_lists(g)
 
     def test_is_k_connected_agrees_with_kappa_on_samples(self, monkeypatch):
-        # n = 500 samples from kappa 4 to about 10; k runs past delta.  Tied
-        # sinks and fan-proven pairs are skipped, so at most a tenth of the
-        # 500 and 519 Even-Tarjan pairs need a matching (7 and 15), whether
-        # kappa is computed or confirmed.
-        calls = count_calls(monkeypatch, "maximum_bipartite_matching")
+        # n = 500 samples from kappa 4 to about 10; k runs past delta.  Only
+        # a pair that lowers b is evaluated: of the 500 and 519 Even-Tarjan
+        # pairs, just the first sink, whether kappa is computed or confirmed.
+        calls = count_fans(monkeypatch, {})
         for K1, seed in ((23, 7), (28, 8)):
             p = ModelParams(n=500, mu=(0.5, 0.5), K=(K1, K1 + 10), P=10**4,
                             alpha=0.4)
             g = sample_network(p, SeedSpec(seed, 0)).graph()
-            pairs = len(even_tarjan_pairs(g))
-            calls["maximum_bipartite_matching"] = 0
+            calls["pair_values"] = 0
             kappa = vertex_connectivity(g)
             assert kappa >= 3
-            assert calls["maximum_bipartite_matching"] <= pairs // 10
-            calls["maximum_bipartite_matching"] = 0
+            assert calls["pair_values"] == 1
+            calls["pair_values"] = 0
             assert is_k_connected(g, kappa)
-            assert calls["maximum_bipartite_matching"] <= pairs // 10
+            assert calls["pair_values"] == 1
             for k in range(3, min_degree(g) + 2):
                 assert is_k_connected(g, k) == (kappa >= k)
 
-    def test_matchings_per_call_are_pinned(self, monkeypatch):
+    def test_pair_values_per_call_are_pinned(self, monkeypatch):
         # the fig4 designs and fig2 at K1 = 20 and 35 (delta 2 to 14), at
-        # the seeds above: kappa and the matchings one vertex_connectivity
-        # call runs, so a change that moves a skip decision shows here
-        calls = count_calls(monkeypatch, "maximum_bipartite_matching")
-        pinned = {("fig4", 8, 7): (6, 2), ("fig4", 8, 8): (7, 4),
-                  ("fig4", 10, 7): (12, 6), ("fig4", 10, 8): (13, 17),
-                  ("fig4", 12, 7): (14, 3), ("fig4", 12, 8): (13, 7),
-                  ("fig4", 14, 7): (18, 9), ("fig4", 14, 8): (16, 3),
-                  ("fig2", 20, 7): (4, 18), ("fig2", 20, 8): (2, 1),
-                  ("fig2", 35, 7): (12, 2), ("fig2", 35, 8): (14, 7)}
+        # the seeds above: kappa, the fans and the pair values one
+        # vertex_connectivity call runs, so a change that moves a skip
+        # decision shows here
+        calls = count_fans(monkeypatch, {})
+        pinned = {("fig4", 8, 7): (6, 148, 1), ("fig4", 8, 8): (7, 161, 1),
+                  ("fig4", 10, 7): (12, 272, 1), ("fig4", 10, 8): (13, 293, 1),
+                  ("fig4", 12, 7): (14, 298, 1), ("fig4", 12, 8): (13, 281, 1),
+                  ("fig4", 14, 7): (18, 382, 1), ("fig4", 14, 8): (16, 326, 1),
+                  ("fig2", 20, 7): (4, 176, 1), ("fig2", 20, 8): (2, 1, 1),
+                  ("fig2", 35, 7): (12, 250, 1), ("fig2", 35, 8): (14, 296, 1)}
         fig2 = fig2_spec(trials=1)
         samples = [(("fig4", spec.k_list[0]), spec.base)
                    for spec in fig4_specs(trials=1)]
@@ -423,15 +441,15 @@ class TestLocalConnectivity:
         for key, params in samples:
             for seed in (7, 8):
                 g = sample_network(params, SeedSpec(seed, 0)).graph()
-                calls["maximum_bipartite_matching"] = 0
+                calls.update(fans=0, pair_values=0)
                 kappa = vertex_connectivity(g)
-                got[(*key, seed)] = (kappa, calls["maximum_bipartite_matching"])
+                got[(*key, seed)] = (kappa, calls["fans"], calls["pair_values"])
                 assert is_k_connected(g, kappa) and not is_k_connected(g, kappa + 1)
         assert got == pinned
 
 
 class TestFan:
-    """The greedy two-hop fan that proves pairs without a matching."""
+    """The exact fan that proves pairs and gives their values."""
 
     @staticmethod
     def mask(n, nodes):
@@ -453,6 +471,18 @@ class TestFan:
         g = graph(3, [(0, 1), (0, 2), (1, 2)])
         assert _fan(neighbor_lists(g), 0, self.mask(3, [1]), 3) == 1
 
+    def test_an_augmenting_path_reroutes_a_greedy_end(self):
+        # greedy takes 0-1-3, which leaves 2 no end; 0-1-4 and 0-2-3
+        g = graph(5, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3)])
+        assert _fan(neighbor_lists(g), 0, self.mask(5, [3, 4]), 9) == 2
+
+    def test_a_three_edge_path_counts_unless_it_meets_avoid(self):
+        # 0-1-3 and 0-2-4-5; greedy finds only the first
+        g = graph(6, [(0, 1), (0, 2), (1, 3), (2, 4), (4, 5)])
+        adj, ends = neighbor_lists(g), self.mask(6, [3, 5])
+        assert _fan(adj, 0, ends, 9) == 2
+        assert _fan(adj, 0, ends, 9, avoid=4) == 1
+
     def test_count_stops_at_need(self):
         g = graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (3, 5), (4, 6)])
         ends = self.mask(7, [1, 2, 5, 6])
@@ -468,18 +498,20 @@ class TestFan:
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_never_exceeds_the_true_fan(self, data):
-        # the largest fan from t to the ends is kappa(t, a) once a new node
-        # a is joined to every end (Menger)
+    def test_equals_the_true_fan(self, data):
+        # the largest fan from t to the ends in G - avoid is kappa(t, a)
+        # there once a new node a is joined to every end (Menger)
         g = data.draw(small_graphs(min_n=2, max_n=9))
+        adj = neighbor_lists(g)
         t = data.draw(st.integers(0, g.n - 1))
         nodes = data.draw(st.sets(st.integers(0, g.n - 1).filter(lambda v: v != t)))
         need = data.draw(st.integers(1, g.n))
-        ends = self.mask(g.n, nodes)
-        found = _fan(neighbor_lists(g), t, ends, need)
-        edges = g.edges.tolist() + [(v, g.n) for v in sorted(nodes)]
-        assert 0 <= found <= need
-        assert found <= brute_local_connectivity(g.n + 1, edges, t, g.n)
+        spare = [v for v in range(g.n) if v != t and v not in adj[t] and v not in nodes]
+        avoid = data.draw(st.sampled_from([-1] + spare))
+        found = _fan(adj, t, self.mask(g.n, nodes), need, avoid)
+        edges = ([e for e in g.edges.tolist() if avoid not in e]
+                 + [(v, g.n) for v in sorted(nodes)])
+        assert found == min(need, brute_local_connectivity(g.n + 1, edges, t, g.n))
 
 
 class TestBiconnectivity:
