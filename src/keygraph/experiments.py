@@ -20,9 +20,11 @@ from it.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import math
 import os
+import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -212,8 +214,19 @@ def _evaluate_trial(job: tuple, trial: int) -> tuple:
     return delta, None, tuple(is_k_connected(g, t) for t in targets)
 
 
+def _hold_heap() -> None:
+    """Fix glibc's mmap (-3) and trim (-1) thresholds.  Left adaptive, they
+    make some processes return each trial's freed arrays to the OS and fault
+    them in again, and others keep them; fixed, every process keeps them."""
+    if platform.libc_ver()[0] == "glibc":
+        libc = ctypes.CDLL(None)
+        libc.mallopt(-3, 32 << 20)
+        libc.mallopt(-1, 64 << 20)
+
+
 def _run_tasks(tasks: list, workers: int) -> list:
     """Per-trial stats in task order: a direct loop, or one process pool."""
+    _hold_heap()  # forked pool workers inherit it
     if workers <= 1 or not tasks:
         return [_evaluate_trial(job, trial) for job, trial in tasks]
     chunk = math.ceil(len(tasks) / (4 * workers))

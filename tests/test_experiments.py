@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import platform
 import re
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -293,6 +294,17 @@ class TestRunExperiment:
             if vertex_connectivity(g) >= 2:
                 count += 1
         assert row.count_kconn == count
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap")
+    def test_trial_arrays_are_not_faulted_in_again(self):
+        # a 1 MB array (an n = 500 channel block) that one trial frees is
+        # reused by the next; without fixed thresholds it may be mapped anew
+        import resource
+        ex._run_tasks([], 1)
+        np.ones(1 << 17)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        np.ones(1 << 17)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 32
 
 
 class TestDeletionExperiment:
