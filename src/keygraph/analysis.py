@@ -5,8 +5,9 @@ of the local connectivities kappa(s, t) over (a) all nodes non-adjacent to a
 fixed minimum-degree node s and (b) all non-adjacent pairs of neighbors of s.
 Each local value is a fan: by Menger, kappa(x, y) is the most paths from y
 to distinct neighbors of x in G - x that share only y.  :func:`_fan` counts
-them exactly, a greedy pass of one- and two-edge paths first and then
-augmenting paths on the node-split residual graph, in plain Python lists.
+them exactly, in plain Python lists: one greedy pass over the neighbors
+of y of one- and two-edge paths, and only when it falls short augmenting
+paths on the node-split residual graph.
 :func:`vertex_connectivity` returns the minimum and runs no flow.  Only
 :func:`minimum_vertex_cut` recovers a cut, from one scipy max flow on the
 classic node-splitting reduction (every node v becomes an arc v_in -> v_out
@@ -114,13 +115,16 @@ def _adjacency(g: Graph) -> csr_matrix:
                       shape=(g.n, g.n))
 
 
+# The adjacency is symmetric, so its strong components are the components and
+# a directed search needs no transpose, which scipy's undirected mode adds.
 def component_count(g: Graph) -> int:
-    count, _ = connected_components(_adjacency(g), directed=False)
+    count, _ = connected_components(_adjacency(g), directed=True, connection="strong")
     return int(count)
 
 
 def is_connected(g: Graph) -> bool:
-    return component_count(g) == 1
+    return breadth_first_order(_adjacency(g), 0, directed=True,
+                               return_predecessors=False).size == g.n
 
 
 def _split_flow_matrix(g: Graph) -> csr_matrix:
@@ -149,39 +153,41 @@ def _fan(adj: list, t: int, ends: list, need: int, avoid: int = -1) -> int:
     """The most paths from ``t`` to distinct nodes of ``ends`` that share
     only t and miss ``avoid``, capped at ``need`` (exact).
 
-    A greedy pass first: every neighbor z of t in ``ends`` (path t, z), then
-    for each other neighbor w of t the first node z of ``ends`` next to w
-    that is neither t, a neighbor of t nor an end already taken (path t, w,
-    z).  While that falls short, one depth-first search per step looks for
-    an augmenting path in the residual graph of the node-split network
-    (each node v an arc v_in -> v_out of capacity one, each edge both ways),
-    checking the neighbors of each node it enters for a free end before it
-    goes deeper; when none is left the paths are a largest fan (Menger,
-    Ford-Fulkerson).  ``adj``
-    holds each node's neighbor list; ``ends`` is a node mask (a list), only
-    read, and t never counts as an end.  ``avoid`` is -1 or a node that is
-    neither next to t nor an end.
+    One greedy pass over the neighbors of t first, which returns as soon as
+    the count reaches ``need``: a neighbor z in ``ends`` counts at once
+    (path t, z), and any other neighbor w takes the first node z of
+    ``ends`` next to it that is neither t, a neighbor of t nor an end
+    already taken (path t, w, z).  Only when the pass falls short are its
+    paths written into a map of predecessors, and one depth-first search
+    per step looks for an augmenting path in the residual graph of the
+    node-split network (each node v an arc v_in -> v_out of capacity one,
+    each edge both ways), checking the neighbors of each node it enters for
+    a free end before it goes deeper; when none is left the paths are a
+    largest fan (Menger, Ford-Fulkerson).  ``adj`` holds each node's
+    neighbor list; ``ends`` is a node mask (a list), only read, and t never
+    counts as an end.  ``avoid`` is -1 or a node that is neither next to t
+    nor an end.
     """
     nt = adj[t]
-    others = [w for w in nt if not ends[w]]
-    found = len(nt) - len(others)
-    if found >= need:
-        return need
     taken = {t, *nt}
-    pred = {}  # node -> the node before it on its path
-    for w in others:
-        for z in adj[w]:
-            if ends[z] and z not in taken:
-                taken.add(z)
-                pred[w], pred[z] = t, w
-                found += 1
-                if found == need:
-                    return need
-                break
-    for z in nt:
-        if ends[z]:
-            pred[z] = t
+    hops = []  # (w, z): the two-edge path t, w, z
+    found = 0
+    for w in nt:
+        if not ends[w]:
+            for z in adj[w]:
+                if ends[z] and z not in taken:
+                    break
+            else:
+                continue
+            taken.add(z)
+            hops.append((w, z))
+        found += 1
+        if found == need:
+            return need
+    pred = {z: t for z in nt if ends[z]}  # node -> the node before it on its path
     pred[t] = t  # t is never a free end, and its out node is the root
+    for w, z in hops:
+        pred[w], pred[z] = t, w
     while found < need:
         # back[w] = (v, u): the out node of w was entered from that of v
         # through u_in, and the path makes v the node before u; u is None

@@ -13,10 +13,11 @@ lies on is ``model.deviation_from_critical``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
-from .model import (ModelParams, admissible, checked_int, checked_tuple,
-                    critical_rhs, mean_edge_prob_key)
+from .model import (ModelParams, admissible, checked_int, checked_real,
+                    checked_tuple, critical_rhs, mean_edge_prob_key)
 
 
 @dataclass(frozen=True)
@@ -74,9 +75,18 @@ def solve_threshold(n: int, P: int, mu, alpha: float, k: int,
     upward walk from 2; monotonicity of the edge probability in K1 under a
     monotone rule makes the first hit minimal.  The first inadmissible K1
     ends the scan (a fixed tail overtaken, or the biggest ring past half the
-    pool; a larger K1 stays inadmissible).
+    pool; a larger K1 stays inadmissible).  Each distinct input is scanned
+    once per process: the spec builders and every run that follows them ask
+    for the same designs again.
     """
     rhs = critical_rhs(n, alpha, k)
+    mu = tuple(checked_real(m, "mu") for m in checked_tuple(mu, "mu"))
+    return _scan(n, P, mu, alpha, rule, rhs)
+
+
+@lru_cache(maxsize=1024)
+def _scan(n: int, P: int, mu: tuple, alpha: float, rule: KeyProfileRule,
+          rhs: float) -> Optional[int]:
     K1 = 2
     while admissible(K := rule.ring_sizes(K1), P):
         if mean_edge_prob_key(ModelParams(n=n, mu=mu, K=K, P=P, alpha=alpha), 1) > rhs:

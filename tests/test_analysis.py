@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import (breadth_first_order, depth_first_order,
-                                  maximum_flow)
+from scipy.sparse.csgraph import (breadth_first_order, connected_components,
+                                  depth_first_order, maximum_flow)
 
 import keygraph.analysis
 from keygraph import (Graph, ModelParams, SeedSpec, is_connected,
@@ -471,10 +471,15 @@ class TestFan:
         g = graph(3, [(0, 1), (0, 2), (1, 2)])
         assert _fan(neighbor_lists(g), 0, self.mask(3, [1]), 3) == 1
 
-    def test_an_augmenting_path_reroutes_a_greedy_end(self):
+    @pytest.mark.parametrize("n,edges,ends,expect", [
         # greedy takes 0-1-3, which leaves 2 no end; 0-1-4 and 0-2-3
-        g = graph(5, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3)])
-        assert _fan(neighbor_lists(g), 0, self.mask(5, [3, 4]), 9) == 2
+        (5, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3)], [3, 4], 2),
+        # the same, with the direct end 5 last in N(0): the search starts
+        # from the pass's paths, so 0-5 stays used and 0-5-6 never counts
+        (7, [(0, 1), (0, 2), (0, 5), (1, 3), (1, 4), (2, 3), (5, 6)],
+         [3, 4, 5, 6], 3)])
+    def test_an_augmenting_path_reroutes_a_greedy_end(self, n, edges, ends, expect):
+        assert _fan(neighbor_lists(graph(n, edges)), 0, self.mask(n, ends), 9) == expect
 
     def test_a_three_edge_path_counts_unless_it_meets_avoid(self):
         # 0-1-3 and 0-2-4-5; greedy finds only the first
@@ -483,10 +488,16 @@ class TestFan:
         assert _fan(adj, 0, ends, 9) == 2
         assert _fan(adj, 0, ends, 9, avoid=4) == 1
 
-    def test_count_stops_at_need(self):
-        g = graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (3, 5), (4, 6)])
-        ends = self.mask(7, [1, 2, 5, 6])
-        adj = neighbor_lists(g)
+    @pytest.mark.parametrize("n,edges,ends", [
+        # the direct ends 1 and 2 first in N(0), then 0-3-5 and 0-4-6
+        (7, [(0, 1), (0, 2), (0, 3), (0, 4), (3, 5), (4, 6)], [1, 2, 5, 6]),
+        # 0-1-7 and 0-2-4 first, then the direct ends 5 and 6, which 1 is
+        # next to but never takes; need 2, the direct count, ends the pass
+        # before it reaches them, and need 3 on the first
+        (8, [(0, 1), (0, 2), (0, 5), (0, 6), (1, 5), (1, 7), (2, 4)],
+         [4, 5, 6, 7])])
+    def test_count_stops_at_need(self, n, edges, ends):
+        adj, ends = neighbor_lists(graph(n, edges)), self.mask(n, ends)
         assert [_fan(adj, 0, ends, need) for need in range(1, 6)] == [1, 2, 3, 4, 4]
 
     def test_ends_are_unchanged(self):
@@ -672,3 +683,14 @@ class TestReport:
     def test_connected_helpers(self):
         assert is_connected(graph(3, PATH3))
         assert not is_connected(graph(3, [(0, 1)]))
+        # both read the symmetric adjacency as a directed graph; the count
+        # is scipy's undirected one on the edge list, isolated nodes and
+        # n = 1 included
+        rng = np.random.default_rng(91)
+        for n in range(1, 16):
+            for density in (0.0, 0.1, 0.3, 0.6):
+                g = random_graph(rng, n, density)
+                upper = csr_matrix((np.ones(g.m), g.edges.T), shape=(n, n))
+                want = connected_components(upper, directed=False)[0]
+                assert component_count(g) == want
+                assert is_connected(g) == (want == 1)

@@ -1,16 +1,25 @@
 """Threshold solver: published design values, minimality, coherence."""
 
 import math
+import re
 
 import pytest
 
 import keygraph.cli
 from keygraph import (KeyProfileRule, ModelParams, deviation_from_critical,
-                      mean_edge_prob_key, solve_threshold)
+                      mean_edge_prob_key, run_experiment, solve_threshold)
 from keygraph.cli import main
+from keygraph.experiments import fig4_specs
 from keygraph.model import critical_rhs
+from keygraph.threshold import _scan
 
 STEP10 = KeyProfileRule.offsets(0, 10)
+
+
+@pytest.fixture(autouse=True)
+def no_solved_designs():
+    """Every test starts with no scan remembered, whatever ran before it."""
+    _scan.cache_clear()
 
 
 def prob_side_line(capsys, p, k):
@@ -108,6 +117,28 @@ class TestSolver:
     def test_unsatisfiable_pool(self):
         # a 12-key pool cannot reach the critical level for k=40 at n=500
         assert solve_threshold(500, 12, (0.5, 0.5), 0.05, 40, STEP10) is None
+
+    def test_a_list_and_a_tuple_mu_share_one_scan(self):
+        # the CLI passes mu as a list, specs as a tuple
+        a = solve_threshold(500, 10**4, [0.5, 0.5], 0.4, 8, STEP10)
+        assert solve_threshold(500, 10**4, (0.5, 0.5), 0.4, 8, STEP10) == a == 30
+        assert _scan.cache_info().misses == 1
+
+    @pytest.mark.parametrize("mu,message", [
+        ([[0.5], 0.5], "mu must be a real number, got [0.5]"),
+        (0.5, "mu must be a sequence, got 0.5")])
+    def test_a_bad_mu_raises_before_the_memo(self, mu, message):
+        # an unhashable entry must not reach the memo as a TypeError
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve_threshold(500, 10**4, mu, 0.4, 8, STEP10)
+
+    def test_a_run_reuses_the_designs_its_specs_solved(self):
+        # four designs, scanned by the first fig4_specs call only, not again
+        # by the second or by the run's own threshold_K1 column
+        fig4_specs()
+        rows = run_experiment(*fig4_specs(trials=1)).rows
+        assert _scan.cache_info().misses == 4
+        assert {r.threshold_K1 for r in rows} == {30, 33, 36, 38}
 
     def test_fixed_tail_scan_respects_ordering(self):
         rule = KeyProfileRule.fixed_tail(4)
