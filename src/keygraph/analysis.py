@@ -7,11 +7,11 @@ Each local value is a fan: by Menger, kappa(x, y) is the most paths from y
 to distinct neighbors of x in G - x that share only y.  :func:`_fan` counts
 them exactly, in plain Python lists: one greedy pass over the neighbors
 of y of one- and two-edge paths, and only when it falls short augmenting
-paths on the node-split residual graph.
-:func:`vertex_connectivity` returns the minimum and runs no flow.  Only
-:func:`minimum_vertex_cut` recovers a cut, from one scipy max flow on the
-classic node-splitting reduction (every node v becomes an arc v_in -> v_out
-of capacity one), run for the minimum pair only.
+paths on the node-split residual graph (every node v an arc v_in -> v_out
+of capacity one).  :func:`vertex_connectivity` returns the minimum.
+:func:`minimum_vertex_cut` runs one more fan, for the minimum pair only,
+with a need it cannot reach; its last augmenting search fails, and the
+nodes that search enters but cannot pass are the cut.
 
 Almost every pair only confirms the bound, so it is skipped and only a pair
 that lowers it is evaluated.  With b the least value so far, call u *tied*
@@ -40,7 +40,9 @@ from numbers import Integral
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import (breadth_first_order, connected_components,
-                                  depth_first_order, maximum_flow)
+                                  depth_first_order)
+# unused here; perfbench's tracer wraps this name
+from scipy.sparse.csgraph import maximum_flow  # noqa: F401
 
 from .model import checked_int
 
@@ -127,29 +129,8 @@ def is_connected(g: Graph) -> bool:
                                return_predecessors=False).size == g.n
 
 
-def _split_flow_matrix(g: Graph) -> csr_matrix:
-    # Node v -> v_in = 2v, v_out = 2v+1; split arcs capacity 1, edge arcs
-    # effectively uncapacitated (any cap > n-1 can never sit on a min cut).
-    n, e = g.n, g.edges
-    rows = np.concatenate([2 * np.arange(n), 2 * e[:, 0] + 1, 2 * e[:, 1] + 1])
-    cols = np.concatenate([2 * np.arange(n) + 1, 2 * e[:, 1], 2 * e[:, 0]])
-    caps = np.concatenate([
-        np.ones(n, dtype=np.int32),
-        np.full(2 * g.m, n, dtype=np.int32),
-    ])
-    return csr_matrix((caps, (rows, cols)), shape=(2 * n, 2 * n), dtype=np.int32)
-
-
-def _cut_from_flow(g: Graph, mat: csr_matrix, flow, src: int) -> np.ndarray:
-    """Recover the source-side minimum vertex cut of a max flow from ``src``."""
-    res = (mat - flow.flow).tocsr()
-    res.eliminate_zeros()  # residual capacities are >= 0; keep the open arcs
-    reach = np.zeros(2 * g.n, dtype=bool)
-    reach[breadth_first_order(res, 2 * src + 1, return_predecessors=False)] = True
-    return np.flatnonzero(reach[0::2] & ~reach[1::2]).astype(np.int32)
-
-
-def _fan(adj: list, t: int, ends: list, need: int, avoid: int = -1) -> int:
+def _fan(adj: list, t: int, ends: list, need: int, avoid: int = -1,
+         cut: list | None = None) -> int:
     """The most paths from ``t`` to distinct nodes of ``ends`` that share
     only t and miss ``avoid``, capped at ``need`` (exact).
 
@@ -167,6 +148,11 @@ def _fan(adj: list, t: int, ends: list, need: int, avoid: int = -1) -> int:
     neighbor list; ``ends`` is a node mask (a list), only read, and t never
     counts as an end.  ``avoid`` is -1 or a node that is neither next to t
     nor an end.
+
+    A search that finds no free end has reached every out node it can.
+    When it returns short of ``need``, a given list ``cut`` gets the nodes
+    next to a reached node whose own out node was not reached, ascending:
+    the minimal cut on t's side, the same for every largest fan.
     """
     nt = adj[t]
     taken = {t, *nt}
@@ -218,6 +204,9 @@ def _fan(adj: list, t: int, ends: list, need: int, avoid: int = -1) -> int:
                 break
             stack.append((w, iter(nw)))
         if end < 0:
+            if cut is not None:
+                cut += sorted({u for w in back if w != avoid
+                               for u in adj[w]}.difference(back))
             return found
         pred[end] = v
         while v != t:
@@ -311,25 +300,28 @@ def vertex_connectivity(g: Graph) -> int:
 def minimum_vertex_cut(g: Graph) -> tuple:
     """Exact vertex connectivity and one minimum vertex cut.
 
-    Returns ``(kappa, cut)`` where ``cut`` is a sorted node array: empty for
-    disconnected graphs (kappa 0) and complete graphs (kappa n-1), otherwise
-    the cut recovered from the first source/sink pair attaining the minimum
-    under the fixed enumeration order.
+    Returns ``(kappa, cut)`` where ``cut`` is a sorted int32 node array:
+    empty for disconnected graphs (kappa 0) and complete graphs (kappa
+    n-1), otherwise the minimal cut on the source side of the first
+    source/sink pair attaining the minimum under the fixed enumeration
+    order, read off the failing search of one more fan from the source.
+    Every largest fan of the pair gives that same cut.
     """
     best, pair = _weakest_pair(g)
     if pair is None:
         return best, np.empty(0, dtype=np.int32)
     src, dst = pair
-    # Every max flow of the first minimum pair has the same minimal
-    # source-side cut.
-    mat = _split_flow_matrix(g)
-    flow = maximum_flow(mat, 2 * src + 1, 2 * dst)
-    if flow.flow_value != best:
-        raise AssertionError("max flow disagrees with the fan")
-    cut = _cut_from_flow(g, mat, flow, src)
-    if cut.size != best:
+    # need n is never reached, so the fan ends on a failing search
+    ptr, idx = g.indptr.tolist(), g.indices.tolist()
+    adj = [idx[ptr[v]:ptr[v + 1]] for v in range(g.n)]
+    near = [False] * g.n
+    for v in adj[dst]:
+        near[v] = True
+    cut = []
+    _fan(adj, src, near, g.n, dst, cut=cut)
+    if len(cut) != best:
         raise AssertionError("recovered cut size disagrees with connectivity")
-    return best, cut
+    return best, np.array(cut, dtype=np.int32)
 
 
 def _is_biconnected(g: Graph) -> bool:

@@ -14,7 +14,8 @@ import keygraph.analysis
 from keygraph import (Graph, ModelParams, SeedSpec, is_connected,
                       is_k_connected, min_degree, minimum_vertex_cut,
                       sample_network, vertex_connectivity)
-from keygraph.analysis import _fan, _is_biconnected, component_count
+from keygraph.analysis import (_fan, _is_biconnected, _weakest_pair,
+                               component_count)
 from keygraph.experiments import fig2_spec, fig4_specs
 from oracles import (brute_local_connectivity, brute_min_cuts,
                      brute_vertex_connectivity, connected_after_removal)
@@ -34,6 +35,12 @@ PATH3 = [(0, 1), (1, 2)]
 CYCLE5 = [(i, (i + 1) % 5) for i in range(5)]
 K4 = list(itertools.combinations(range(4), 2))
 K5 = list(itertools.combinations(range(5), 2))
+# two K5s joined by node 0 (the lowest min-degree node, so s) and one edge
+# 3-8: every minimum cut holds 0, so only a pair of neighbours of 0 finds
+# kappa 2; every sink of 0 gives 3
+TWO_K5 = (list(itertools.combinations(range(1, 6), 2))
+          + list(itertools.combinations(range(6, 11), 2))
+          + [(0, 1), (0, 2), (0, 6), (0, 7), (3, 8)])
 
 
 @st.composite
@@ -94,35 +101,40 @@ def count_calls(monkeypatch, *names):
 def count_fans(monkeypatch, calls):
     """Add to ``calls`` counts of the _fan calls and of the pairs the kappa
     loop evaluates, in place: the calls with an avoided node whose result
-    falls short of need."""
+    falls short of need and that ask for no cut."""
     calls.update(fans=0, pair_values=0)
     fan = keygraph.analysis._fan
 
-    def counted(adj, t, ends, need, avoid=-1):
-        found = fan(adj, t, ends, need, avoid)
+    def counted(adj, t, ends, need, avoid=-1, **kw):
+        found = fan(adj, t, ends, need, avoid, **kw)
         calls["fans"] += 1
-        calls["pair_values"] += avoid >= 0 and found < need
+        calls["pair_values"] += avoid >= 0 and found < need and "cut" not in kw
         return found
 
     monkeypatch.setattr(keygraph.analysis, "_fan", counted)
     return calls
 
 
+def flow_cut(g, src, dst):
+    """The split nodes the residual graph of a scipy max flow from src to
+    dst cuts off from src: the minimal cut on src's side."""
+    mat, flow = split_flow(g, src, dst)
+    res = mat - flow.flow
+    res.eliminate_zeros()
+    reach = np.zeros(2 * g.n, dtype=bool)
+    reach[breadth_first_order(res, 2 * src + 1, return_predecessors=False)] = True
+    return np.flatnonzero(reach[0::2] & ~reach[1::2])
+
+
 def full_pair_loop(g):
     """(kappa, cut) from a scipy max flow for every Even-Tarjan pair, with no
-    early exit or skipped sink; the cut is the split nodes the residual
-    graph cuts off."""
+    early exit or skipped sink, and the flow cut of the first least pair."""
     best = None
     for src, dst in even_tarjan_pairs(g):
         value = split_flow(g, src, dst)[1].flow_value
         if best is None or value < best:
             best, pair = value, (src, dst)
-    mat, flow = split_flow(g, *pair)
-    res = mat - flow.flow
-    res.eliminate_zeros()
-    reach = np.zeros(2 * g.n, dtype=bool)
-    reach[breadth_first_order(res, 2 * pair[0] + 1, return_predecessors=False)] = True
-    return best, np.flatnonzero(reach[0::2] & ~reach[1::2])
+    return best, flow_cut(g, *pair)
 
 
 def old_graph_arrays(n, edges):
@@ -270,6 +282,18 @@ class TestVertexConnectivity:
         kappa, cut = minimum_vertex_cut(graph(5, [(0, i) for i in range(1, 5)]))
         assert kappa == 1 and list(cut) == [0]
 
+    @pytest.mark.parametrize("n, edges, pair, want", [
+        (4, [(0, 1), (2, 3)], None, (0, [])),  # disconnected
+        (5, K5, None, (4, [])),  # complete
+        (5, [(0, i) for i in range(1, 5)], (1, 2), (1, [0])),  # a sink of s
+        (11, TWO_K5, (1, 6), (2, [0, 3])),  # two neighbours of s
+    ])
+    def test_cut_is_a_sorted_int32_array(self, n, edges, pair, want):
+        g = graph(n, edges)
+        assert _weakest_pair(g)[1] == pair
+        kappa, cut = minimum_vertex_cut(g)
+        assert type(cut) is np.ndarray and cut.dtype == np.int32
+        assert (kappa, cut.tolist()) == want
 
     def test_early_exit_keeps_the_full_loop_result(self):
         rng = np.random.default_rng(4242)
@@ -296,14 +320,9 @@ class TestVertexConnectivity:
             assert is_k_connected(g, k) == (kappa >= k)
 
     def test_cut_through_the_min_degree_node(self):
-        # two K5s joined by node 0 (the lowest min-degree node, so s) and
-        # one edge 3-8: every minimum cut holds 0, so only a pair of
-        # neighbours of 0 (phase 2, not fan-proven, as it lies below b)
-        # finds kappa 2; every sink of 0 gives 3
-        edges = (list(itertools.combinations(range(1, 6), 2))
-                 + list(itertools.combinations(range(6, 11), 2))
-                 + [(0, 1), (0, 2), (0, 6), (0, 7), (3, 8)])
-        g = graph(11, edges)
+        # TWO_K5: only a pair of neighbours of s (phase 2, not fan-proven,
+        # as it lies below b) finds kappa 2
+        g = graph(11, TWO_K5)
         kappa, cut = minimum_vertex_cut(g)
         assert kappa == 2 == brute_vertex_connectivity(11, g.edges)
         assert cut.tolist() == full_pair_loop(g)[1].tolist() == [0, 3]
@@ -331,8 +350,8 @@ class TestVertexConnectivity:
         s = int(np.argmin(g.degrees))
         sinks_proven = []
 
-        def fan(adj, t, ends, need, avoid=-1, _fan=keygraph.analysis._fan):
-            found = _fan(adj, t, ends, need, avoid)
+        def fan(adj, t, ends, need, avoid=-1, _fan=keygraph.analysis._fan, **kw):
+            found = _fan(adj, t, ends, need, avoid, **kw)
             if found >= need and avoid < 0:
                 sinks_proven.append(t)
             return found
@@ -345,8 +364,8 @@ class TestVertexConnectivity:
 
     def test_low_min_degree_needs_one_pair(self, monkeypatch):
         # a pendant node (delta 1) and a cycle (delta 2, biconnected) each
-        # stop after the first pair's value; kappa alone runs no flow, and
-        # one flow then yields the cut
+        # stop after the first pair's value; neither call runs a flow, and
+        # one more fan then yields the cut
         calls = count_fans(monkeypatch, count_calls(monkeypatch, "maximum_flow"))
         ring = [(i, (i + 1) % 12) for i in range(12)]
         for n, edges, kappa in ((13, ring + [(0, 12)], 1), (12, ring, 2)):
@@ -355,7 +374,7 @@ class TestVertexConnectivity:
             assert calls == {"maximum_flow": 0, "fans": 1, "pair_values": 1}
             calls.update(dict.fromkeys(calls, 0))
             assert minimum_vertex_cut(graph(n, edges))[0] == kappa
-            assert calls == {"maximum_flow": 1, "fans": 1, "pair_values": 1}
+            assert calls == {"maximum_flow": 0, "fans": 2, "pair_values": 1}
 
     def test_kappa_alone_equals_minimum_vertex_cut_and_the_oracle(self):
         rng = np.random.default_rng(5000)
@@ -367,7 +386,9 @@ class TestVertexConnectivity:
             assert kappa == brute_vertex_connectivity(n, g.edges)
 
     def test_kappa_alone_equals_minimum_vertex_cut_on_figure_samples(self, monkeypatch):
-        calls = count_calls(monkeypatch, "maximum_flow")
+        # the cut costs one fan more than kappa, none if disconnected, and
+        # is the flow cut at the pair _weakest_pair returns
+        calls = count_fans(monkeypatch, count_calls(monkeypatch, "maximum_flow"))
         fig2 = fig2_spec(trials=1)
         designs = [spec.base for spec in fig4_specs(trials=1)]
         designs += [fig2.base.replace(K=fig2.rule.ring_sizes(K1))
@@ -375,12 +396,17 @@ class TestVertexConnectivity:
         for params in designs:
             for seed in (100, 101):
                 g = sample_network(params, SeedSpec(seed, 0)).graph()
-                calls["maximum_flow"] = 0
+                calls.update(dict.fromkeys(calls, 0))
                 kappa = vertex_connectivity(g)
-                assert calls["maximum_flow"] == 0
+                kappa_calls = dict(calls, fans=calls["fans"] + (kappa > 0))
+                calls.update(dict.fromkeys(calls, 0))
                 kappa_cut, cut = minimum_vertex_cut(g)
                 assert kappa == kappa_cut == cut.size
-                assert calls["maximum_flow"] == (kappa > 0)  # none if disconnected
+                assert calls == kappa_calls and calls["maximum_flow"] == 0
+                pair = _weakest_pair(g)[1]
+                assert (pair is None) == (kappa == 0)
+                if pair is not None:
+                    assert cut.tolist() == flow_cut(g, *pair).tolist()
 
 
 class TestLocalConnectivity:
