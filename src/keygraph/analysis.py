@@ -3,15 +3,15 @@
 Vertex connectivity follows Even and Tarjan: the global value is the minimum
 of the local connectivities kappa(s, t) over (a) all nodes non-adjacent to a
 fixed minimum-degree node s and (b) all non-adjacent pairs of neighbors of s.
-Each local value is a fan: by Menger, kappa(x, y) is the most paths from y
-to distinct neighbors of x in G - x that share only y.  :func:`_fan` counts
+Each local value is a fan: by Menger, kappa(x, y) is the most paths from x
+to distinct neighbors of y in G - y that share only x.  :func:`_fan` counts
 them exactly, in plain Python lists: one greedy pass over the neighbors
-of y of one- and two-edge paths, and only when it falls short augmenting
+of x of one- and two-edge paths, and only when it falls short augmenting
 paths on the node-split residual graph (every node v an arc v_in -> v_out
-of capacity one).  :func:`vertex_connectivity` returns the minimum.
-:func:`minimum_vertex_cut` runs one more fan, for the minimum pair only,
-with a need it cannot reach; its last augmenting search fails, and the
-nodes that search enters but cannot pass are the cut.
+of capacity one).  :func:`vertex_connectivity` returns the minimum.  A fan
+that stops below the bound ends on a failing augmenting search, and the
+nodes that search enters but cannot pass are a cut of the pair; the fan of
+the minimum pair hands that cut to :func:`minimum_vertex_cut`.
 
 Almost every pair only confirms the bound, so it is skipped and only a pair
 that lowers it is evaluated.  With b the least value so far, call u *tied*
@@ -23,8 +23,8 @@ separator of fewer than b nodes that avoids s and t misses one whole path,
 whose tied end still reaches s.  So kappa(s, t) >= b, t cannot lower b, and
 it is skipped.  The largest such fan is at least kappa(s, t), since every
 s-t path meets N(s); so a sink whose exact fan stays below b does lower b.
-A pair (x, y) of neighbors of s, part (b), takes the fan from y to N(x) in
-G - x, which is kappa(x, y) itself.  A tie stays valid when b falls.  Only
+A pair (x, y) of neighbors of s, part (b), takes the fan from x to N(y) in
+G - y, which is kappa(x, y) itself.  A tie stays valid when b falls.  Only
 pairs that cannot lower b are skipped, so the first pair of least kappa,
 and the cut from it, are those of the full enumeration.
 
@@ -150,9 +150,10 @@ def _fan(adj: list, t: int, ends: list, need: int, avoid: int = -1,
     nor an end.
 
     A search that finds no free end has reached every out node it can.
-    When it returns short of ``need``, a given list ``cut`` gets the nodes
-    next to a reached node whose own out node was not reached, ascending:
-    the minimal cut on t's side, the same for every largest fan.
+    When it returns short of ``need``, the contents of a given list ``cut``
+    are replaced by the nodes next to a reached node whose own out node was
+    not reached, ascending: the minimal cut on t's side, the same for every
+    largest fan.  A return at ``need`` leaves ``cut`` as it was.
     """
     nt = adj[t]
     taken = {t, *nt}
@@ -205,8 +206,8 @@ def _fan(adj: list, t: int, ends: list, need: int, avoid: int = -1,
             stack.append((w, iter(nw)))
         if end < 0:
             if cut is not None:
-                cut += sorted({u for w in back if w != avoid
-                               for u in adj[w]}.difference(back))
+                cut[:] = sorted({u for w in back if w != avoid
+                                 for u in adj[w]}.difference(back))
             return found
         pred[end] = v
         while v != t:
@@ -220,10 +221,11 @@ def _fan(adj: list, t: int, ends: list, need: int, avoid: int = -1,
 
 
 def _weakest_pair(g: Graph) -> tuple:
-    """``(kappa, (src, dst))``: the first Even-Tarjan pair of least kappa.
+    """``(kappa, (src, dst), cut)``: the first Even-Tarjan pair of least
+    kappa and the minimal cut on its src side, a list of kappa nodes.
 
-    A disconnected graph gives ``(0, None)`` and a complete one
-    ``(n - 1, None)``; fewer than two nodes raise ValueError.
+    A disconnected graph gives ``(0, None, [])`` and a complete one
+    ``(n - 1, None, [])``; fewer than two nodes raise ValueError.
 
     Fixed deterministic order: first every node t non-adjacent to the lowest
     minimum-degree node s (ascending), then every non-adjacent pair of
@@ -231,21 +233,22 @@ def _weakest_pair(g: Graph) -> tuple:
     far, only a pair below b is evaluated, and it replaces the best pair
     (module docstring).  A sink t is skipped when its direct count, its tied
     neighbors in N(s) or below it (known before the loop), reaches b, or
-    when ``_fan(adj, t, tied, b) >= b``; otherwise its value is
-    ``_fan(adj, s, N(t), b, t)``.  The first sink runs no skip fan, since
-    b > delta >= kappa(s, t) there.  A pair (x, y) takes
-    ``_fan(adj, y, N(x), b, x)``, which is its value when below b.  The
-    neighbor lists ``adj`` are built once per call; the tied mask holds
-    N(s), and each sink joins it as it is reached, before its fan.  The
-    loop stops at a proven lower bound: 1 (connected), or 2 once the graph
-    is known biconnected.
+    when ``_fan(adj, t, tied, b) >= b``.  The first sink runs no skip fan,
+    since b > delta >= kappa(s, t) there.  Every other pair (src, dst) takes
+    ``_fan(adj, src, N(dst), b, dst)``, which is its value when below b;
+    such a fan ends on a failing search and leaves the pair's cut in the
+    one ``cut`` list every value fan shares.  The neighbor lists ``adj``
+    are built once per call and each N(dst) mask once per dst; the tied
+    mask holds N(s), and each sink joins it as it is reached, before its
+    fan.  The loop stops at a proven lower bound: 1 (connected), or 2 once
+    the graph is known biconnected.
     """
     if g.n < 2:
         raise ValueError("vertex connectivity needs at least two nodes")
     if not is_connected(g):
-        return 0, None
+        return 0, None, []
     if g.is_complete():
-        return g.n - 1, None
+        return g.n - 1, None, []
     n, ptr, idx = g.n, g.indptr.tolist(), g.indices.tolist()
     adj = [idx[ptr[v]:ptr[v + 1]] for v in range(n)]
     s = int(np.argmin(g.degrees))
@@ -260,33 +263,32 @@ def _weakest_pair(g: Graph) -> tuple:
     in_nb[nb] = True
     direct = np.bincount(np.concatenate([b[a != s], a[in_nb[b]]]),
                          minlength=n).tolist()
-    near, row = None, None  # near is N(row)
+    masks = {}  # dst -> the mask of N(dst); each y of part (b) recurs
     pairs = itertools.chain(
         [(s, t) for t in range(n) if t != s and not tied[t]],  # tied is N(s)
         ((u, v) for i, u in enumerate(nb) for nu in [set(adj[u])]
          for v in nb[i + 1:] if v not in nu))
     # kappa(s, t) <= delta, so delta + 1 lets the first sink set the pair.
     best = len(nb) + 1
-    pair = None
+    pair, cut = None, []
     for src, dst in pairs:
         if src == s:
             tied[dst] = True  # its fan or its value proves it below
             if direct[dst] >= best or (
                     best <= len(nb) and _fan(adj, dst, tied, best) >= best):
                 continue
-            start, far = s, dst  # kappa(s, t) is the fan from s to N(t) in G - t
-        else:
-            start, far = dst, src  # and kappa(x, y) that from y to N(x) in G - x
-        if far != row:
-            near, row = [False] * n, far
-            for v in adj[far]:
+        near = masks.get(dst)
+        if near is None:
+            near = masks[dst] = [False] * n
+            for v in adj[dst]:
                 near[v] = True
-        value = _fan(adj, start, near, best, far)
+        # kappa(src, dst) is the fan from src to N(dst) in G - dst
+        value = _fan(adj, src, near, best, dst, cut=cut)
         if value < best:
             best, pair = value, (src, dst)
             if best == 1 or (best == 2 and _is_biconnected(g)):
                 break
-    return best, pair
+    return best, pair, cut
 
 
 def vertex_connectivity(g: Graph) -> int:
@@ -304,24 +306,15 @@ def minimum_vertex_cut(g: Graph) -> tuple:
     empty for disconnected graphs (kappa 0) and complete graphs (kappa
     n-1), otherwise the minimal cut on the source side of the first
     source/sink pair attaining the minimum under the fixed enumeration
-    order, read off the failing search of one more fan from the source.
+    order, read off the failing search of that pair's own fan from the
+    source, so it costs no fan beyond those of :func:`vertex_connectivity`.
     Every largest fan of the pair gives that same cut.
     """
-    best, pair = _weakest_pair(g)
-    if pair is None:
-        return best, np.empty(0, dtype=np.int32)
-    src, dst = pair
-    # need n is never reached, so the fan ends on a failing search
-    ptr, idx = g.indptr.tolist(), g.indices.tolist()
-    adj = [idx[ptr[v]:ptr[v + 1]] for v in range(g.n)]
-    near = [False] * g.n
-    for v in adj[dst]:
-        near[v] = True
-    cut = []
-    _fan(adj, src, near, g.n, dst, cut=cut)
-    if len(cut) != best:
+    kappa, _, cut = _weakest_pair(g)
+    # a complete graph has no cut; any other has one of kappa nodes
+    if kappa < g.n - 1 and len(cut) != kappa:
         raise AssertionError("recovered cut size disagrees with connectivity")
-    return best, np.array(cut, dtype=np.int32)
+    return kappa, np.array(cut, dtype=np.int32)
 
 
 def _is_biconnected(g: Graph) -> bool:

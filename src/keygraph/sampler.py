@@ -253,6 +253,8 @@ def read_network(path) -> SampledNetwork:
     keys, strictly increasing within [0, P); each edge joins two distinct
     nodes in range that share a key, and no pair appears twice.  A violation
     raises ValueError naming the file and the line (and the node or edge).
+    Edges come back as :class:`SampledNetwork` holds them, u < v in
+    lexicographic order, whatever the order of the lines and their ends.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(no, ln) for no, ln in enumerate((raw.strip() for raw in fh), 1) if ln]
@@ -319,10 +321,11 @@ def read_network(path) -> SampledNetwork:
         if fault.any():
             i = int(np.argmax(fault))
             raise bad(edge_lines[i][0], f"edge {edges[i, 0]} {edges[i, 1]}: {what}")
+    order = np.argsort(codes)  # channel positions run in lexicographic order
     return SampledNetwork(
         params=params,
         classes=classes,
         ring_data=ring_data,
         ring_indptr=indptr,
-        edges=edges.astype(np.int32),
+        edges=np.stack([lo, hi], axis=1)[order].astype(np.int32),
     )

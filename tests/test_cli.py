@@ -204,6 +204,23 @@ class TestSpecBoundary:
         rows = out.read_text().splitlines()[1:]
         assert [row.split(",")[4] for row in rows] == ["1", "2"]
 
+    @pytest.mark.parametrize("part", ["experiment spec", "base", "sweep",
+                                      "record", "rule"])
+    def test_a_part_that_is_not_an_object_exits_2(self, capsys, tmp_path, part):
+        d = copy.deepcopy(VALID_SPEC)
+        if part == "experiment spec":
+            d = [d]
+        elif part == "rule":
+            d["sweep"]["rule"] = "offsets"
+        else:
+            d[part] = {"base": [24], "sweep": 5, "record": True}[part]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(d))
+        rc = main(["run", "--spec", str(spec), "--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2 and f"{part} must be an object" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_out_of_range_master_seed_exits_2(self, capsys, tmp_path, seed):
         d = copy.deepcopy(VALID_SPEC)
@@ -275,6 +292,28 @@ class TestNetworkBoundary:
         assert "invalid arguments" in err and str(dump) in err
 
 
+    @pytest.mark.parametrize("how,what", [
+        ("short", "the header needs three lines"),
+        ("classes", "bad header: class count mismatch"),
+        ("n", "bad header: invalid literal for int()"),
+        ("nodes", "20 node lines expected, found 5")])
+    def test_bad_header_is_invalid_arguments(self, capsys, tmp_path, how, what):
+        dump = tmp_path / "net.txt"
+        assert main(["sample", "--n", "20", "--P", "30", "--mu", "0.5,0.5",
+                     "--K", "3,5", "--alpha", "0.6", "--seed", "9",
+                     "--out", str(dump)]) == 0
+        capsys.readouterr()
+        lines = dump.read_text().splitlines()
+        lines = {"short": lines[:2],
+                 "classes": [lines[0], "0.5 0.3 0.2"] + lines[2:],
+                 "n": ["20.5 30 0.6 2"] + lines[1:],
+                 "nodes": lines[:3 + 5]}[how]
+        dump.write_text("\n".join(lines) + "\n")
+        rc = main(["analyze", "--in", str(dump)])
+        err = capsys.readouterr().err
+        assert rc == 2 and f"{dump}: {what}" in err
+
+
 DESIGN_POINT = ["--n", "500", "--P", "10000", "--mu", "0.5,0.5",
                 "--alpha", "0.4", "--k", "8"]
 # Whole stdout and exit code of the one-point commands, byte for byte.
@@ -343,6 +382,17 @@ class TestThreshold:
         rc = main(["threshold", "--n", "500", "--P", "12", "--mu", "0.5,0.5",
                    "--alpha", "0.05", "--k", "40", "--offsets", "0,10"])
         assert rc == 1
+        assert "unsatisfiable" in capsys.readouterr().out
+
+
+    def test_fixed_tail(self, capsys):
+        # k = 2 at the design point: the tail 40 admits K1 = 15, while K1
+        # may not pass a tail of 5, which is too small to reach the level
+        argv = ["threshold", "--n", "500", "--P", "10000", "--mu", "0.5,0.5",
+                "--alpha", "0.4", "--k", "2", "--tail"]
+        assert main([*argv, "40"]) == 0
+        assert capsys.readouterr().out.startswith("K1_min=15\nK=15,40 ")
+        assert main([*argv, "5"]) == 1
         assert "unsatisfiable" in capsys.readouterr().out
 
 

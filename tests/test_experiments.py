@@ -590,6 +590,8 @@ def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
     import spans
     originals = [owner.__dict__[attr] for owner, attr, _, _ in spans.TARGETS]
     with spans.Tracer() as tracer:
+        assert all(owner.__dict__[attr] is not fn
+                   for (owner, attr, _, _), fn in zip(spans.TARGETS, originals))
         ex.run_experiment(mini_spec(sweep_values=(3,), trials=1))
     assert [owner.__dict__[attr] for owner, attr, _, _ in spans.TARGETS] == originals
     names = {rec[2] for rec in tracer.spans}

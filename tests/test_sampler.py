@@ -313,6 +313,23 @@ class TestDumpFormat:
         assert np.array_equal(back.ring_data, net.ring_data)
         assert np.array_equal(back.edges, net.edges)
 
+    def test_edges_read_back_in_canonical_order(self, tmp_path):
+        # edge lines in reverse order, the first written as "v u"
+        p = ModelParams(n=30, mu=(0.4, 0.6), K=(3, 5), P=40, alpha=0.55)
+        net = sample_network(p, SeedSpec(2024, 1))
+        path = tmp_path / "net.txt"
+        write_network(net, path)
+        original = path.read_bytes()
+        lines = path.read_text().splitlines()
+        edge_lines = lines[3 + 30:][::-1]
+        edge_lines[0] = " ".join(edge_lines[0].split()[::-1])
+        path.write_text("\n".join(lines[:3 + 30] + edge_lines) + "\n")
+        back = read_network(path)
+        assert back.edges.dtype == np.int32
+        assert np.array_equal(back.edges, net.edges)
+        write_network(back, path)
+        assert path.read_bytes() == original
+
     def test_golden_dump_is_stable(self, tmp_path):
         # frozen once from this implementation; any drift in the stream or
         # the format shows up as a byte difference
