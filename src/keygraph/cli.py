@@ -187,19 +187,14 @@ def _specs(args) -> list:
 def _cmd_sweep(args) -> int:
     result = xp.run_experiment(*_specs(args), workers=args.workers)
     xp.write_csv(result, args.out)
-    by_name = {}
     for row in result.rows:
-        by_name.setdefault(row.experiment, []).append(row)
         print(f"  {row.experiment} value={row.sweep_value} k={row.k}"
               f" P[conn>=k]={row.prob_kconn:.3f} +-{row.ci_half:.3f}"
               f" mismatches={row.mismatch_count}")
     print(f"wrote {args.out}")
     if args.dat:
-        for name, rows in by_name.items():
-            for k in sorted({row.k for row in rows}):
-                path = f"{args.dat}.{name}.k{k}.dat"
-                xp.write_dat(xp.ExperimentResult(rows=tuple(rows)), path, k=k)
-                print(f"wrote {path}")
+        for path in xp.write_dat(result, args.dat):
+            print(f"wrote {path}")
     return 0
 
 

@@ -309,23 +309,17 @@ def _cell(column: str, value) -> str:
     return f"{value:.6f}" if isinstance(value, float) else str(value)
 
 
-def iter_rows(result_or_results) -> list:
-    if isinstance(result_or_results, ExperimentResult):
-        return list(result_or_results.rows)
-    rows = []
-    for res in result_or_results:
-        rows.extend(res.rows)
-    return rows
-
-
 def write_csv(result_or_results, path) -> None:
     """Write aggregated rows as UTF-8 CSV with a fixed header and row order.
 
-    Row order follows the result(s): sweep order, then k order within a
-    sweep value.  The ci_half column belongs to prob_kconn.  All formatting
-    is fixed-width, so identical results produce byte-identical files.
+    Takes one result, or a list of them (as ``perfbench/run.py`` passes each
+    round).  Row order follows the result(s): sweep order, then k order
+    within a sweep value.  The ci_half column belongs to prob_kconn.  All
+    formatting is fixed-width, so identical results produce byte-identical files.
     """
-    rows = iter_rows(result_or_results)
+    one = isinstance(result_or_results, ExperimentResult)
+    rows = [r for res in ([result_or_results] if one else result_or_results)
+            for r in res.rows]
     try:
         fh = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
@@ -338,16 +332,23 @@ def write_csv(result_or_results, path) -> None:
             writer.writerow([_cell(c, getattr(r, c)) for c in columns])
 
 
-def write_dat(result_or_results, path, k: int) -> None:
-    """Plot-ready whitespace table: sweep value, probability, ci half-width.
-
-    Picks the rows for one k; the probability is the connectivity estimate.
+def write_dat(result: ExperimentResult, prefix) -> list:
+    """Plot-ready whitespace tables, one per (experiment, k) at
+    ``{prefix}.{experiment}.k{k}.dat``: sweep value, connectivity probability,
+    ci half-width.  Returns the paths, experiments in row order, k ascending.
     """
-    rows = [r for r in iter_rows(result_or_results) if r.k == k]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# k={k} columns: sweep_value probability ci_half\n")
-        for r in rows:
-            fh.write(f"{_fmt_value(r.sweep_value)} {r.prob_kconn:.6f} {r.ci_half:.6f}\n")
+    tables = {}
+    for r in result.rows:
+        tables.setdefault(r.experiment, {}).setdefault(r.k, []).append(
+            f"{_fmt_value(r.sweep_value)} {r.prob_kconn:.6f} {r.ci_half:.6f}\n")
+    paths = []
+    for name, by_k in tables.items():
+        for k, lines in sorted(by_k.items()):
+            paths.append(f"{prefix}.{name}.k{k}.dat")
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                fh.write(f"# k={k} columns: sweep_value probability ci_half\n")
+                fh.writelines(lines)
+    return paths
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,11 @@ stream, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import Graph
 from .model import ModelParams
 from .rng import SeedSpec
 
@@ -59,7 +60,6 @@ class SampledNetwork:
     ring_data: np.ndarray
     ring_indptr: np.ndarray
     edges: np.ndarray
-    _graph: object = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -69,12 +69,9 @@ class SampledNetwork:
         """Sorted key ring of node x (a view, do not mutate)."""
         return self.ring_data[self.ring_indptr[x]:self.ring_indptr[x + 1]]
 
-    def graph(self):
-        """Adjacency structure of the secure-link edges (built once, cached)."""
-        if self._graph is None:
-            from .analysis import Graph
-            self._graph = Graph(self.n, self.edges)
-        return self._graph
+    def graph(self) -> Graph:
+        """A new adjacency structure of the secure-link edges."""
+        return Graph(self.n, self.edges)
 
 
 def _draw_rings(u: np.ndarray, P: int) -> np.ndarray:
@@ -121,6 +118,15 @@ def _draw_rings(u: np.ndarray, P: int) -> np.ndarray:
             ring[left] = t
         out[repeat] = ring
     return out
+
+
+def _check_pool(n: int, P: int) -> None:
+    """Reject a pool whose largest key, packed ``key << bits | node`` by
+    :func:`_pair_positions`, would not fit in int64."""
+    bits = (n - 1).bit_length()
+    if (P - 1) << bits >= 2**63:
+        raise ValueError(f"P={P} is too large for n={n}: the key -> holder "
+                         f"index needs (P - 1) << {bits} < 2^63")
 
 
 def _channel_start(n: int) -> np.ndarray:
@@ -177,9 +183,13 @@ def _channel_on(words: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def sample_network(params: ModelParams, seed: SeedSpec) -> SampledNetwork:
-    """Draw one network realization, fully determined by (params, seed)."""
-    rng = seed.stream()
+    """Draw one network realization, fully determined by (params, seed).
+
+    A pool too large for the key -> holder index raises ValueError.
+    """
     n, P, alpha, r = params.n, params.P, params.alpha, params.r
+    _check_pool(n, P)
+    rng = seed.stream()
 
     cum = np.cumsum(params.mu)
     cls0 = np.searchsorted(cum, rng.random(n), side="right")
@@ -249,12 +259,13 @@ def read_network(path) -> SampledNetwork:
     """Load a sample written by :func:`write_network`.
 
     Everything the format fixes is checked: the header is a valid parameter
-    set; each node line has a class label in 1..r and a ring of K[class]
-    keys, strictly increasing within [0, P); each edge joins two distinct
-    nodes in range that share a key, and no pair appears twice.  A violation
-    raises ValueError naming the file and the line (and the node or edge).
-    Edges come back as :class:`SampledNetwork` holds them, u < v in
-    lexicographic order, whatever the order of the lines and their ends.
+    set whose pool fits the key -> holder index; each node line has a class
+    label in 1..r and a ring of K[class] keys, strictly increasing within
+    [0, P); each edge joins two distinct nodes in range that share a key,
+    and no pair appears twice.  A violation raises ValueError naming the
+    file and the line (and the node or edge).  Edges come back as
+    :class:`SampledNetwork` holds them, u < v in lexicographic order,
+    whatever the order of the lines and their ends.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(no, ln) for no, ln in enumerate((raw.strip() for raw in fh), 1) if ln]
@@ -278,6 +289,7 @@ def read_network(path) -> SampledNetwork:
         if len(mu) != r or len(K) != r:
             raise ValueError("class count mismatch")
         params = ModelParams(n=n, mu=mu, K=K, P=P, alpha=float(alpha_s))
+        _check_pool(n, P)
     except ValueError as exc:
         raise ValueError(f"{path}: bad header: {exc}") from None
     if len(lines) < 3 + n:

@@ -313,6 +313,19 @@ class TestNetworkBoundary:
         err = capsys.readouterr().err
         assert rc == 2 and f"{dump}: {what}" in err
 
+    def test_pool_too_large_for_the_key_index_exits_2(self, capsys, tmp_path):
+        # keys 5 and 5 + 2^55 packed with 9 node bits wrap to one int64, so
+        # an unchecked index would see a shared key behind the edge 0 1
+        n, P = 500, 2**60
+        dump = tmp_path / "net.txt"
+        keys = [5, 5 + 2**55] + list(range(6, 6 + n - 2))
+        dump.write_text("\n".join([f"{n} {P} 0.5 1", "1.0", "1",
+                                    *(f"1 1 {key}" for key in keys), "0 1"]) + "\n")
+        assert main(["analyze", "--in", str(dump)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{dump}: bad header: P={P} is too large for n={n}" in captured.err
+
 
 DESIGN_POINT = ["--n", "500", "--P", "10000", "--mu", "0.5,0.5",
                 "--alpha", "0.4", "--k", "8"]
@@ -420,6 +433,13 @@ class TestSampleAnalyze:
             "n=6 edges=15\n"
             "min_degree=5 vertex_connectivity=5 connected=True components=1\n"
             "min_vertex_cut=(none)\n")
+
+    def test_pool_too_large_for_the_key_index_exits_2(self, capsys, tmp_path):
+        dump = tmp_path / "net.txt"
+        assert main(["sample", "--n", "500", "--P", str(2**65), "--mu", "1",
+                     "--K", "3", "--alpha", "0.5", "--out", str(dump)]) == 2
+        assert "P=36893488147419103232 is too large for n=500" in capsys.readouterr().err
+        assert not dump.exists()
 
     def test_env_seed_fallback(self, capsys, tmp_path, monkeypatch):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

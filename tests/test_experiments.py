@@ -418,15 +418,48 @@ class TestCsv:
         with pytest.raises(OSError, match="missing_dir"):
             write_csv(res, bad)
 
+    def test_list_form_writes_the_results_in_turn(self, tmp_path):
+        a, b = mini_spec(), mini_spec(name="other", k_list=(2,), master_seed=3)
+        one, two = tmp_path / "list.csv", tmp_path / "run.csv"
+        write_csv([run_experiment(a), run_experiment(b)], one)
+        write_csv(run_experiment(a, b), two)
+        assert one.read_bytes() == two.read_bytes()
+        assert len(one.read_text().splitlines()) == 1 + 4 + 2
+
     def test_dat_output(self, tmp_path):
         res = run_experiment(mini_spec())
-        path = tmp_path / "curve.dat"
-        write_dat(res, path, k=2)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("#")
+        prefix = tmp_path / "curve"
+        assert write_dat(res, prefix) == [f"{prefix}.mini.k1.dat",
+                                          f"{prefix}.mini.k2.dat"]
+        lines = (tmp_path / "curve.mini.k2.dat").read_text().splitlines()
+        assert lines[0] == "# k=2 columns: sweep_value probability ci_half"
         assert len(lines) == 3  # header + two sweep values
         x, y, ci = lines[1].split()
         assert float(y) <= 1.0 and float(ci) > 0
+
+    def test_dat_tables_split_a_run_by_experiment_and_k(self, tmp_path):
+        # two experiments sweep the same values; the second lists k descending
+        a = mini_spec(k_list=(2,))
+        b = mini_spec(name="other", k_list=(3, 1), master_seed=3)
+        res = run_experiment(a, b)
+        prefix = str(tmp_path / "run")
+        paths = write_dat(res, prefix)
+        assert paths == [f"{prefix}.mini.k2.dat", f"{prefix}.other.k1.dat",
+                         f"{prefix}.other.k3.dat"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            Path(p).name for p in paths)
+        for path in paths:
+            name, k = Path(path).name.split(".")[1:3]
+            rows = [r for r in res.rows if r.experiment == name and f"k{r.k}" == k]
+            assert [ln.split() for ln in Path(path).read_text().splitlines()[1:]] == [
+                [str(r.sweep_value), f"{r.prob_kconn:.6f}", f"{r.ci_half:.6f}"]
+                for r in rows]
+            assert len(rows) == 2  # one per sweep value, none of the other run
+        # each table equals the one written from its experiment's own run
+        alone = [p for spec in (a, b)
+                 for p in write_dat(run_experiment(spec), tmp_path / "alone")]
+        assert [Path(p).read_bytes() for p in alone] == [
+            Path(p).read_bytes() for p in paths]
 
 
 # Bad values for each key of a JSON spec, by the key's path.  A null

@@ -301,6 +301,37 @@ class TestRawChannelWords:
         assert np.array_equal(_channel_on(words, alpha), u < alpha)
 
 
+class TestKeyPoolBound:
+    """Keys are packed ``key << bits | node`` into int64, bits = (n-1).bit_length()."""
+
+    def test_largest_pool_that_fits_samples_and_reads_back(self, tmp_path):
+        # n = 3 packs with 2 node bits: (P - 1) << 2 < 2^63 holds up to P = 2^61
+        p = ModelParams(n=3, mu=(1.0,), K=(2,), P=2**61, alpha=1.0)
+        net = sample_network(p, SeedSpec(5, 0))
+        assert 0 <= net.ring_data.min() and net.ring_data.max() < 2**61
+        path = tmp_path / "net.txt"
+        write_network(net, path)
+        back = read_network(path)
+        assert np.array_equal(back.ring_data, net.ring_data)
+        # two nodes holding the top key share it; the third shares nothing
+        top = 2**61 - 1
+        lines = path.read_text().splitlines()
+        lines[3:] = [f"1 2 0 {top}", f"1 2 1 {top}", "1 2 2 3", "0 1"]
+        path.write_text("\n".join(lines) + "\n")
+        assert read_network(path).edges.tolist() == [[0, 1]]
+        path.write_text("\n".join(lines[:-1] + ["1 2"]) + "\n")
+        with pytest.raises(ValueError, match="share no key"):
+            read_network(path)
+
+    @pytest.mark.parametrize("n,P", [(2, 2**62 + 1), (3, 2**61 + 1), (500, 2**54 + 1)])
+    def test_pool_past_the_bound_is_rejected_before_any_draw(self, monkeypatch, n, P):
+        p = ModelParams(n=n, mu=(1.0,), K=(2,), P=P, alpha=1.0)
+        sample_network(p.replace(P=P - 1), SeedSpec(5, 0))
+        monkeypatch.setattr(SeedSpec, "stream", lambda self: pytest.fail("drew"))
+        with pytest.raises(ValueError, match=f"P={P} is too large for n={n}"):
+            sample_network(p, SeedSpec(5, 0))
+
+
 class TestDumpFormat:
     def test_round_trip(self, tmp_path):
         p = ModelParams(n=30, mu=(0.4, 0.6), K=(3, 5), P=40, alpha=0.55)
