@@ -10,9 +10,9 @@ Monte Carlo experiment harness.
 from ._version import __version__
 from .analysis import (Graph, is_connected, is_k_connected, min_degree,
                        minimum_vertex_cut, vertex_connectivity)
-from .experiments import (ExperimentResult, ExperimentRow, ExperimentSpec,
-                          RecordFlags, load_spec, run_experiment,
-                          wilson_halfwidth, write_csv, write_dat)
+from .experiments import (ExperimentRow, ExperimentSpec, RecordFlags,
+                          load_spec, run_experiment, wilson_halfwidth,
+                          write_csv, write_dat)
 from .model import (ModelParams, admissible, deviation_from_critical,
                     edge_prob_key, mean_edge_prob, mean_edge_prob_key)
 from .rng import SeedSpec, derive_master
@@ -24,7 +24,7 @@ __all__ = [
     "__version__",
     "Graph", "is_connected", "is_k_connected", "min_degree",
     "minimum_vertex_cut", "vertex_connectivity",
-    "ExperimentResult", "ExperimentRow", "ExperimentSpec", "RecordFlags",
+    "ExperimentRow", "ExperimentSpec", "RecordFlags",
     "load_spec", "run_experiment", "wilson_halfwidth", "write_csv", "write_dat",
     "ModelParams", "admissible", "deviation_from_critical", "edge_prob_key",
     "mean_edge_prob", "mean_edge_prob_key",

@@ -185,15 +185,15 @@ def _specs(args) -> list:
 
 
 def _cmd_sweep(args) -> int:
-    result = xp.run_experiment(*_specs(args), workers=args.workers)
-    xp.write_csv(result, args.out)
-    for row in result.rows:
+    rows = xp.run_experiment(*_specs(args), workers=args.workers)
+    xp.write_csv(rows, args.out)
+    for row in rows:
         print(f"  {row.experiment} value={row.sweep_value} k={row.k}"
               f" P[conn>=k]={row.prob_kconn:.3f} +-{row.ci_half:.3f}"
               f" mismatches={row.mismatch_count}")
     print(f"wrote {args.out}")
     if args.dat:
-        for path in xp.write_dat(result, args.dat):
+        for path in xp.write_dat(rows, args.dat):
             print(f"wrote {path}")
     return 0
 

@@ -168,11 +168,6 @@ class ExperimentRow:
     master_seed: int
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
-    rows: tuple
-
-
 def _profile_label(spec: ExperimentSpec, params: ModelParams) -> str:
     if spec.rule is not None:
         return spec.rule.profile_label()
@@ -234,17 +229,22 @@ def _run_tasks(tasks: list, workers: int) -> list:
         return list(pool.map(_evaluate_trial, *zip(*tasks), chunksize=chunk))
 
 
-def run_experiment(*specs: ExperimentSpec, workers: int = 1) -> ExperimentResult:
-    """Execute one or more sweeps; identical output for any worker count.
+def run_experiment(*specs: ExperimentSpec, workers: int = 1) -> tuple:
+    """Execute one or more sweeps; the same rows for any worker count.
 
     Every (cell, trial) task of every spec goes through one evaluator, and
     one process pool when ``workers`` (clamped to the core count) exceeds 1.
-    Rows follow the specs in order, so the result equals the single-spec
-    runs concatenated.  ``workers`` below 1 raises ValueError.  Any trial
-    failure propagates as an exception; no partial result is returned.
+    Returns the :class:`ExperimentRow` tuple, specs in order, then sweep
+    order, then k order: the single-spec runs concatenated.  ``workers``
+    below 1, or two specs of one name (they would share a plot table),
+    raise ValueError before any trial runs.  A trial failure propagates;
+    no partial result is returned.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    for i, spec in enumerate(specs):
+        if spec.name in (s.name for s in specs[:i]):
+            raise ValueError(f"two specs are named {spec.name!r}")
     workers = min(workers, os.cpu_count() or 1)
     cells = [(spec, *cell) for spec in specs for cell in _cells(spec)]
     tasks = []
@@ -286,7 +286,7 @@ def run_experiment(*specs: ExperimentSpec, workers: int = 1) -> ExperimentResult
                 threshold_K1=thresholds.get(key),
                 master_seed=spec.master_seed,
             ))
-    return ExperimentResult(rows=tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +309,16 @@ def _cell(column: str, value) -> str:
     return f"{value:.6f}" if isinstance(value, float) else str(value)
 
 
-def write_csv(result_or_results, path) -> None:
+def write_csv(rows, path) -> None:
     """Write aggregated rows as UTF-8 CSV with a fixed header and row order.
 
-    Takes one result, or a list of them (as ``perfbench/run.py`` passes each
-    round).  Row order follows the result(s): sweep order, then k order
-    within a sweep value.  The ci_half column belongs to prob_kconn.  All
-    formatting is fixed-width, so identical results produce byte-identical files.
+    Takes the rows of :func:`run_experiment`, in order, or a list of such
+    results written in turn: ``perfbench/run.py`` passes one result per spec
+    each round, and the list form can go once it calls
+    ``run_experiment(*specs)``.  The ci_half column belongs to prob_kconn.
+    Formatting is fixed-width, so identical rows give byte-identical files.
     """
-    one = isinstance(result_or_results, ExperimentResult)
-    rows = [r for res in ([result_or_results] if one else result_or_results)
-            for r in res.rows]
+    rows = [r for x in rows for r in ((x,) if isinstance(x, ExperimentRow) else x)]
     try:
         fh = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
@@ -332,13 +331,13 @@ def write_csv(result_or_results, path) -> None:
             writer.writerow([_cell(c, getattr(r, c)) for c in columns])
 
 
-def write_dat(result: ExperimentResult, prefix) -> list:
+def write_dat(rows, prefix) -> list:
     """Plot-ready whitespace tables, one per (experiment, k) at
     ``{prefix}.{experiment}.k{k}.dat``: sweep value, connectivity probability,
     ci half-width.  Returns the paths, experiments in row order, k ascending.
     """
     tables = {}
-    for r in result.rows:
+    for r in rows:
         tables.setdefault(r.experiment, {}).setdefault(r.k, []).append(
             f"{_fmt_value(r.sweep_value)} {r.prob_kconn:.6f} {r.ci_half:.6f}\n")
     paths = []

@@ -122,11 +122,15 @@ def _draw_rings(u: np.ndarray, P: int) -> np.ndarray:
 
 def _check_pool(n: int, P: int) -> None:
     """Reject a pool whose largest key, packed ``key << bits | node`` by
-    :func:`_pair_positions`, would not fit in int64."""
+    :func:`_pair_positions`, would not fit in int64, or that exceeds 2^53,
+    past which the float64 draw floor(u * b) cannot reach every key."""
     bits = (n - 1).bit_length()
     if (P - 1) << bits >= 2**63:
         raise ValueError(f"P={P} is too large for n={n}: the key -> holder "
                          f"index needs (P - 1) << {bits} < 2^63")
+    if P > 2**53:
+        raise ValueError(f"P={P} is too large for the key draw: floor(u * b) "
+                         "with a float64 u reaches every key only for P <= 2^53")
 
 
 def _channel_start(n: int) -> np.ndarray:
@@ -185,7 +189,7 @@ def _channel_on(words: np.ndarray, alpha: float) -> np.ndarray:
 def sample_network(params: ModelParams, seed: SeedSpec) -> SampledNetwork:
     """Draw one network realization, fully determined by (params, seed).
 
-    A pool too large for the key -> holder index raises ValueError.
+    A pool too large for the key draw or the key index raises ValueError.
     """
     n, P, alpha, r = params.n, params.P, params.alpha, params.r
     _check_pool(n, P)
@@ -259,7 +263,7 @@ def read_network(path) -> SampledNetwork:
     """Load a sample written by :func:`write_network`.
 
     Everything the format fixes is checked: the header is a valid parameter
-    set whose pool fits the key -> holder index; each node line has a class
+    set whose pool fits the key draw and index; each node line has a class
     label in 1..r and a ring of K[class] keys, strictly increasing within
     [0, P); each edge joins two distinct nodes in range that share a key,
     and no pair appears twice.  A violation raises ValueError naming the

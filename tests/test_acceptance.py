@@ -81,7 +81,7 @@ def test_criterion_2_deletion_survival_levels():
                               P=spec.base.P, alpha=spec.base.alpha)
         _, ref_smaller = _survival_reference(smaller, k)
         res = run_experiment(spec, workers=WORKERS)
-        row = next(r for r in res.rows if r.sweep_value == k - 1)
+        row = next(r for r in res if r.sweep_value == k - 1)
         z = (row.prob_mindeg - ref) / sigma
         ok = (lo <= row.prob_mindeg <= hi
               and row.prob_kconn <= row.prob_mindeg
@@ -112,7 +112,7 @@ def test_criterion_3_transition_bands_and_event_coincidence():
                 name=f"accept3_a{alpha}", base=base, sweep_kind="K1",
                 sweep_values=(K1,), rule=STEP10, trials=200, k_list=(2,),
                 master_seed=ACCEPT_SEED)
-            row = run_experiment(spec, workers=WORKERS).rows[0]
+            row = run_experiment(spec, workers=WORKERS)[0]
             p = row.prob_kconn
             ok = p <= bound if side == "low" else p >= bound
             if not ok:
@@ -306,7 +306,7 @@ def test_criterion_8_zero_one_trend():
                 name=f"accept8_{'one' if one_law else 'zero'}_{n}",
                 base=params, sweep_kind="k", sweep_values=(k,), trials=trials,
                 master_seed=ACCEPT_SEED + 8)
-            row = run_experiment(spec, workers=WORKERS).rows[0]
+            row = run_experiment(spec, workers=WORKERS)[0]
             probs.append(row.prob_kconn)
             cis.append(row.ci_half)
         results[one_law] = (probs, cis)

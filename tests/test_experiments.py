@@ -6,13 +6,14 @@ import os
 import platform
 import re
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import keygraph.experiments as ex
-from keygraph import (ExperimentResult, ExperimentSpec, KeyProfileRule,
+from keygraph import (ExperimentRow, ExperimentSpec, KeyProfileRule,
                       ModelParams, RecordFlags, SeedSpec, is_connected,
                       load_spec, minimum_vertex_cut, run_experiment,
                       sample_network, vertex_connectivity, wilson_halfwidth,
@@ -174,22 +175,22 @@ class TestRunExperiment:
         spec = ExperimentSpec(name="complete", base=base, sweep_kind="k",
                               sweep_values=(1, 4, 7), trials=1, master_seed=1)
         res = run_experiment(spec)
-        for row in res.rows:
+        for row in res:
             assert row.prob_kconn == 1.0
             assert row.count_kconn == 1
 
     def test_rows_ordered_and_dominance_holds(self):
         res = run_experiment(mini_spec())
-        values = [(r.sweep_value, r.k) for r in res.rows]
+        values = [(r.sweep_value, r.k) for r in res]
         assert values == [(3, 1), (3, 2), (4, 1), (4, 2)]
-        for row in res.rows:
+        for row in res:
             assert row.count_kconn <= row.count_mindeg
             assert 0.0 <= row.prob_kconn <= row.prob_mindeg <= 1.0
 
     def test_probabilities_non_increasing_in_k(self):
         res = run_experiment(mini_spec(k_list=(1, 2, 3)))
         for value in (3, 4):
-            probs = [r.prob_kconn for r in res.rows if r.sweep_value == value]
+            probs = [r.prob_kconn for r in res if r.sweep_value == value]
             assert all(a >= b for a, b in zip(probs, probs[1:]))
 
     def test_deterministic_across_worker_counts(self, tmp_path):
@@ -213,32 +214,48 @@ class TestRunExperiment:
         # (alpha, k): the threshold cache must key on every solver input
         a = mini_spec()
         b = mini_spec(name="mini-P60", base=a.base.replace(P=60))
-        single = run_experiment(a).rows + run_experiment(b).rows
+        single = run_experiment(a) + run_experiment(b)
         assert [r.threshold_K1 for r in single] == [3, 4, 3, 4, 4, 5, 4, 5]
-        assert run_experiment(a, b).rows == single
+        assert run_experiment(a, b) == single
         made = counting_pool(monkeypatch, cores=2)
-        assert run_experiment(a, b, workers=2).rows == single
+        assert run_experiment(a, b, workers=2) == single
         assert made == [2]
 
     def test_no_spec_is_an_empty_result(self, monkeypatch):
         made = counting_pool(monkeypatch, cores=2)
-        assert run_experiment(workers=2).rows == ()
+        assert run_experiment(workers=2) == ()
         assert made == []
+
+    def test_rows_are_the_result(self):
+        rows = run_experiment(mini_spec())
+        assert type(rows) is tuple and len(rows) == 4
+        assert all(type(r) is ExperimentRow for r in rows)
+
+    def test_two_specs_of_one_name_are_rejected_before_any_trial(self, monkeypatch,
+                                                                 tmp_path):
+        # one name would put both runs' rows into one plot table
+        a = mini_spec(k_list=(2,))
+        monkeypatch.setattr(ex, "_evaluate_trial", lambda job, t: pytest.fail("ran"))
+        with pytest.raises(ValueError, match="two specs are named 'mini'"):
+            write_dat(run_experiment(a, replace(a, master_seed=9)), tmp_path / "p")
+        with pytest.raises(ValueError, match="two specs are named 'fig1_alpha0.4'"):
+            run_experiment(*fig1_specs(trials=1, alphas=(0.4, 0.4)))
+        assert list(tmp_path.iterdir()) == []
 
     def test_workers_clamped_to_core_count(self, monkeypatch):
         made = counting_pool(monkeypatch, cores=1)
-        rows = run_experiment(mini_spec(), workers=2).rows
+        rows = run_experiment(mini_spec(), workers=2)
         assert made == []
-        assert rows == run_experiment(mini_spec(), workers=1).rows
+        assert rows == run_experiment(mini_spec(), workers=1)
 
     def test_deep_k_records_exact_connectivity(self):
         res = run_experiment(mini_spec(k_list=(1, 3)))
-        for row in res.rows:
+        for row in res:
             assert row.mean_kappa is not None
 
     def test_shallow_k_skips_exact_connectivity(self):
         res = run_experiment(mini_spec(k_list=(1, 2)))
-        for row in res.rows:
+        for row in res:
             assert row.mean_kappa is None
 
     def test_transition_isotonic_up_to_noise(self):
@@ -247,7 +264,7 @@ class TestRunExperiment:
         spec = mini_spec(sweep_values=tuple(range(3, 9)), k_list=(2,),
                          trials=30, master_seed=19)
         res = run_experiment(spec)
-        rows = [r for r in res.rows if r.k == 2]
+        rows = [r for r in res if r.k == 2]
         for a, b in zip(rows, rows[1:]):
             assert b.prob_kconn >= a.prob_kconn - 2 * max(a.ci_half, b.ci_half)
 
@@ -258,7 +275,7 @@ class TestRunExperiment:
                            alpha=0.6)
         spec = ExperimentSpec(name="fig1-point", base=base, sweep_kind="k",
                               sweep_values=(2,), trials=200, master_seed=4)
-        row = run_experiment(spec).rows[0]
+        row = run_experiment(spec)[0]
         assert row.trials - row.mismatch_count >= 195
         assert row.prob_kconn >= 0.9  # deep on the connected side
 
@@ -274,7 +291,7 @@ class TestRunExperiment:
         monkeypatch.setattr(ex, "solve_threshold",
                             lambda *a: calls.append(a) or solve(*a))
         spec = mini_spec(sweep_kind=kind, sweep_values=values, trials=2)
-        rows = run_experiment(spec).rows
+        rows = run_experiment(spec)
         assert len(calls) == solves
         for row in rows:
             assert row.threshold_K1 == solve(row.n, row.P, spec.base.mu,
@@ -285,7 +302,7 @@ class TestRunExperiment:
         from keygraph.rng import derive_master
         spec = mini_spec(sweep_values=(4,), k_list=(2,))
         res = run_experiment(spec)
-        row = res.rows[0]
+        row = res[0]
         params = spec.base.replace(K=spec.rule.ring_sizes(4))
         row_master = derive_master(spec.master_seed, 0)
         count = 0
@@ -315,7 +332,7 @@ class TestDeletionExperiment:
     def test_depth_zero_equals_connectivity_probability(self):
         spec = deletion_spec()
         res = run_experiment(spec)
-        row0 = res.rows[0]
+        row0 = res[0]
         row_master = derive_master(spec.master_seed, 0)
         connected = sum(
             1 for t in range(spec.trials)
@@ -330,7 +347,7 @@ class TestDeletionExperiment:
                               k_list=(2,), master_seed=1,
                               record=RecordFlags(vertex_cut_curve=True))
         res = run_experiment(spec)
-        assert all(row.prob_kconn == 1.0 for row in res.rows)
+        assert all(row.prob_kconn == 1.0 for row in res)
 
     def test_survival_rule_matches_literal_deletion(self):
         # the connectivity-threshold rule equals physically removing nodes
@@ -347,7 +364,7 @@ class TestDeletionExperiment:
 
     def test_survival_non_increasing_in_depth(self):
         res = run_experiment(deletion_spec(depths=tuple(range(0, 6))))
-        probs = [r.prob_kconn for r in res.rows]
+        probs = [r.prob_kconn for r in res]
         assert all(a >= b for a, b in zip(probs, probs[1:]))
 
 
@@ -379,7 +396,7 @@ class TestWilson:
 
 class TestCsv:
     def test_header_only_for_empty_result(self, tmp_path):
-        res = ExperimentResult(rows=())
+        res = ()
         path = tmp_path / "empty.csv"
         write_csv(res, path)
         assert path.read_text() == CSV_COLUMNS + "\n"
@@ -413,7 +430,7 @@ class TestCsv:
         assert path.read_bytes() == (DATA / "golden_mini.csv").read_bytes()
 
     def test_write_csv_error_carries_path(self, tmp_path):
-        res = ExperimentResult(rows=())
+        res = ()
         bad = tmp_path / "missing_dir" / "out.csv"
         with pytest.raises(OSError, match="missing_dir"):
             write_csv(res, bad)
@@ -450,7 +467,7 @@ class TestCsv:
             Path(p).name for p in paths)
         for path in paths:
             name, k = Path(path).name.split(".")[1:3]
-            rows = [r for r in res.rows if r.experiment == name and f"k{r.k}" == k]
+            rows = [r for r in res if r.experiment == name and f"k{r.k}" == k]
             assert [ln.split() for ln in Path(path).read_text().splitlines()[1:]] == [
                 [str(r.sweep_value), f"{r.prob_kconn:.6f}", f"{r.ci_half:.6f}"]
                 for r in rows]
@@ -542,7 +559,7 @@ class TestJsonSpecs:
         assert spec.base.K == (3, 5)
         assert spec.rule.ring_sizes(3) == (3, 5)
         res = run_experiment(spec)
-        assert len(res.rows) == 2
+        assert len(res) == 2
 
     def test_unknown_top_level_key_rejected(self):
         d = self.spec_dict()

@@ -12,6 +12,7 @@ import keygraph
 import keygraph.sampler
 from keygraph import (ModelParams, SeedSpec, edge_prob_key, read_network,
                       sample_network, write_network)
+from keygraph.cli import main
 from keygraph.rng import philox_key
 from keygraph.sampler import (_channel_on, _draw_rings, _mark_shared,
                               _pair_positions)
@@ -302,19 +303,21 @@ class TestRawChannelWords:
 
 
 class TestKeyPoolBound:
-    """Keys are packed ``key << bits | node`` into int64, bits = (n-1).bit_length()."""
+    """Keys are drawn as floor(u * b) with a float64 u, which reaches every
+    key for P <= 2^53, and packed ``key << bits | node`` into int64, bits =
+    (n-1).bit_length()."""
 
     def test_largest_pool_that_fits_samples_and_reads_back(self, tmp_path):
-        # n = 3 packs with 2 node bits: (P - 1) << 2 < 2^63 holds up to P = 2^61
-        p = ModelParams(n=3, mu=(1.0,), K=(2,), P=2**61, alpha=1.0)
+        # P = 2^53 is the largest pool the key draw covers; n = 3 packs it
+        p = ModelParams(n=3, mu=(1.0,), K=(2,), P=2**53, alpha=1.0)
         net = sample_network(p, SeedSpec(5, 0))
-        assert 0 <= net.ring_data.min() and net.ring_data.max() < 2**61
+        assert 0 <= net.ring_data.min() and net.ring_data.max() < 2**53
         path = tmp_path / "net.txt"
         write_network(net, path)
         back = read_network(path)
         assert np.array_equal(back.ring_data, net.ring_data)
         # two nodes holding the top key share it; the third shares nothing
-        top = 2**61 - 1
+        top = 2**53 - 1
         lines = path.read_text().splitlines()
         lines[3:] = [f"1 2 0 {top}", f"1 2 1 {top}", "1 2 2 3", "0 1"]
         path.write_text("\n".join(lines) + "\n")
@@ -323,13 +326,32 @@ class TestKeyPoolBound:
         with pytest.raises(ValueError, match="share no key"):
             read_network(path)
 
-    @pytest.mark.parametrize("n,P", [(2, 2**62 + 1), (3, 2**61 + 1), (500, 2**54 + 1)])
-    def test_pool_past_the_bound_is_rejected_before_any_draw(self, monkeypatch, n, P):
+    @pytest.mark.parametrize("n,P,what", [
+        (2, 2**53 + 1, "the key draw"), (3, 2**53 + 1, "the key draw"),
+        (500, 2**53 + 1, "the key draw"),
+        # from n = 1025 on, 11 node bits make the key index the tighter bound
+        (1025, 2**52 + 1, "n=1025")],
+        ids=["draw-n2", "draw-n3", "draw-n500", "index-n1025"])
+    def test_pool_past_the_bound_is_rejected_before_any_draw(self, monkeypatch,
+                                                             n, P, what):
         p = ModelParams(n=n, mu=(1.0,), K=(2,), P=P, alpha=1.0)
         sample_network(p.replace(P=P - 1), SeedSpec(5, 0))
         monkeypatch.setattr(SeedSpec, "stream", lambda self: pytest.fail("drew"))
-        with pytest.raises(ValueError, match=f"P={P} is too large for n={n}"):
+        with pytest.raises(ValueError, match=f"P={P} is too large for {what}"):
             sample_network(p, SeedSpec(5, 0))
+
+    def test_pool_past_2_53_exits_2_from_sample_and_analyze(self, capsys, tmp_path):
+        P = 2**53 + 1
+        dump = tmp_path / "net.txt"
+        assert main(["sample", "--n", "3", "--P", str(P), "--mu", "1", "--K", "3",
+                     "--alpha", "0.5", "--out", str(dump)]) == 2
+        assert f"P={P} is too large for the key draw" in capsys.readouterr().err
+        assert not dump.exists()
+        dump.write_text(f"3 {P} 0.5 1\n1.0\n3\n1 3 0 1 2\n1 3 0 1 2\n1 3 0 1 2\n0 1\n")
+        assert main(["analyze", "--in", str(dump)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{dump}: bad header: P={P} is too large for the key draw" in captured.err
 
 
 class TestDumpFormat:

@@ -136,7 +136,7 @@ class TestSolver:
         # four designs, scanned by the first fig4_specs call only, not again
         # by the second or by the run's own threshold_K1 column
         fig4_specs()
-        rows = run_experiment(*fig4_specs(trials=1)).rows
+        rows = run_experiment(*fig4_specs(trials=1))
         assert _scan.cache_info().misses == 4
         assert {r.threshold_K1 for r in rows} == {30, 33, 36, 38}
 
