@@ -29,7 +29,9 @@ pairs that cannot lower b are skipped, so the first pair of least kappa,
 and the cut from it, are those of the full enumeration.
 
 All functions are pure; scratch state is per call, so concurrent use on
-distinct graphs is safe.
+distinct graphs is safe.  scipy is imported only inside the functions that
+run one of its searches, so exact kappa, and every command that needs no
+more, never loads it.
 """
 
 from __future__ import annotations
@@ -38,11 +40,6 @@ import itertools
 from numbers import Integral
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import (breadth_first_order, connected_components,
-                                  depth_first_order)
-# unused here; perfbench's tracer wraps this name
-from scipy.sparse.csgraph import maximum_flow  # noqa: F401
 
 from .model import checked_int
 
@@ -112,7 +109,8 @@ def min_degree(g: Graph) -> int:
     return int(g.degrees.min())
 
 
-def _adjacency(g: Graph) -> csr_matrix:
+def _adjacency(g: Graph):
+    from scipy.sparse import csr_matrix
     return csr_matrix((np.ones(g.indices.size, dtype=np.int32), g.indices, g.indptr),
                       shape=(g.n, g.n))
 
@@ -120,13 +118,21 @@ def _adjacency(g: Graph) -> csr_matrix:
 # The adjacency is symmetric, so its strong components are the components and
 # a directed search needs no transpose, which scipy's undirected mode adds.
 def component_count(g: Graph) -> int:
+    from scipy.sparse.csgraph import connected_components
     count, _ = connected_components(_adjacency(g), directed=True, connection="strong")
     return int(count)
 
 
 def is_connected(g: Graph) -> bool:
+    from scipy.sparse.csgraph import breadth_first_order
     return breadth_first_order(_adjacency(g), 0, directed=True,
                                return_predecessors=False).size == g.n
+
+
+def maximum_flow(*args, **kwargs):
+    """scipy's maximum_flow, imported on call; perfbench's tracer wraps it."""
+    from scipy.sparse.csgraph import maximum_flow
+    return maximum_flow(*args, **kwargs)
 
 
 def _fan(adj: list, t: int, ends: list, need: int, avoid: int = -1,
@@ -240,18 +246,21 @@ def _weakest_pair(g: Graph) -> tuple:
     one ``cut`` list every value fan shares.  The neighbor lists ``adj``
     are built once per call and each N(dst) mask once per dst; the tied
     mask holds N(s), and each sink joins it as it is reached, before its
-    fan.  The loop stops at a proven lower bound: 1 (connected), or 2 once
-    the graph is known biconnected.
+    fan.  The one stop is a value of 0, which returns ``(0, None, [])``; an
+    isolated node returns it before the loop.  In a disconnected graph
+    the first sink of a component without s has no tied neighbor, so it is
+    evaluated and its value is 0.  Otherwise the loop runs to the end.
     """
     if g.n < 2:
         raise ValueError("vertex connectivity needs at least two nodes")
-    if not is_connected(g):
-        return 0, None, []
     if g.is_complete():
         return g.n - 1, None, []
+    degrees = g.degrees
+    s = int(np.argmin(degrees))
+    if degrees[s] == 0:
+        return 0, None, []
     n, ptr, idx = g.n, g.indptr.tolist(), g.indices.tolist()
     adj = [idx[ptr[v]:ptr[v + 1]] for v in range(n)]
-    s = int(np.argmin(g.degrees))
     nb = adj[s]
     tied = [False] * n
     for v in nb:
@@ -285,9 +294,9 @@ def _weakest_pair(g: Graph) -> tuple:
         # kappa(src, dst) is the fan from src to N(dst) in G - dst
         value = _fan(adj, src, near, best, dst, cut=cut)
         if value < best:
+            if value == 0:
+                return 0, None, []
             best, pair = value, (src, dst)
-            if best == 1 or (best == 2 and _is_biconnected(g)):
-                break
     return best, pair, cut
 
 
@@ -330,6 +339,7 @@ def _is_biconnected(g: Graph) -> bool:
     if n < 3:
         # Two nodes: biconnected iff the edge exists (complete graph case).
         return g.m == n * (n - 1) // 2
+    from scipy.sparse.csgraph import depth_first_order
     order, parent = depth_first_order(_adjacency(g), 0, directed=True)
     if order.size < n:
         return False  # disconnected

@@ -41,7 +41,10 @@ def _int_list(text: str) -> list:
 
 def _default_seed() -> int:
     env = os.environ.get("KEYGRAPH_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ValueError(f"KEYGRAPH_SEED must be an integer, got {env!r}") from None
 
 
 def _add_model_flags(p: argparse.ArgumentParser, need_K: bool = True) -> None:

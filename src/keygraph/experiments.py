@@ -229,23 +229,30 @@ def _run_tasks(tasks: list, workers: int) -> list:
         return list(pool.map(_evaluate_trial, *zip(*tasks), chunksize=chunk))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(*specs: ExperimentSpec, workers: int = 1) -> tuple:
     """Execute one or more sweeps; the same rows for any worker count.
 
     Every (cell, trial) task of every spec goes through one evaluator, and
-    one process pool when ``workers`` (clamped to the core count) exceeds 1.
-    Returns the :class:`ExperimentRow` tuple, specs in order, then sweep
-    order, then k order: the single-spec runs concatenated.  ``workers``
-    below 1, or two specs of one name (they would share a plot table),
-    raise ValueError before any trial runs.  A trial failure propagates;
-    no partial result is returned.
+    one process pool when ``workers`` (clamped to the CPUs the process may
+    use) exceeds 1.  Returns the :class:`ExperimentRow` tuple, specs in
+    order, then sweep order, then k order: the single-spec runs
+    concatenated.  ``workers`` below 1, or two specs of one name (they
+    would share a plot table), raise ValueError before any trial runs.  A
+    trial failure propagates; no partial result is returned.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     for i, spec in enumerate(specs):
         if spec.name in (s.name for s in specs[:i]):
             raise ValueError(f"two specs are named {spec.name!r}")
-    workers = min(workers, os.cpu_count() or 1)
+    workers = min(workers, _usable_cpus())
     cells = [(spec, *cell) for spec in specs for cell in _cells(spec)]
     tasks = []
     for spec, params, master, targets, _ in cells:

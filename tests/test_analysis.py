@@ -369,18 +369,53 @@ class TestVertexConnectivity:
         assert sinks_proven
 
     def test_low_min_degree_needs_one_pair(self, monkeypatch):
-        # a pendant node (delta 1) and a cycle (delta 2, biconnected) each
-        # stop after the first pair's value; neither call runs a flow, and
-        # that pair's own fan yields the cut
+        # a pendant node (delta 1) and a cycle (delta 2): only the first
+        # pair's value is evaluated.  The loop runs to the end, but every
+        # later sink of the pendant graph is skipped by its direct count;
+        # the cycle's sinks 3..9 each take a skip fan and the pair (1, 11)
+        # a value fan that reaches b.  Neither call runs a flow, and the
+        # first pair's own fan yields the cut
         calls = count_fans(monkeypatch, count_calls(monkeypatch, "maximum_flow"))
         ring = [(i, (i + 1) % 12) for i in range(12)]
-        for n, edges, kappa in ((13, ring + [(0, 12)], 1), (12, ring, 2)):
+        for n, edges, kappa, fans in ((13, ring + [(0, 12)], 1, 1),
+                                      (12, ring, 2, 9)):
+            want = {"maximum_flow": 0, "fans": fans, "pair_values": 1}
             calls.update(dict.fromkeys(calls, 0))
             assert vertex_connectivity(graph(n, edges)) == kappa
-            assert calls == {"maximum_flow": 0, "fans": 1, "pair_values": 1}
+            assert calls == want
             calls.update(dict.fromkeys(calls, 0))
             assert minimum_vertex_cut(graph(n, edges))[0] == kappa
-            assert calls == {"maximum_flow": 0, "fans": 1, "pair_values": 1}
+            assert calls == want
+
+    def test_a_value_of_one_does_not_stop_the_loop(self):
+        # a path 0-1-2 and a triangle 3-4-5: the sink 2 of s = 0 gives 1
+        # first, and only the triangle's first sink 3 shows the graph apart
+        g = graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)])
+        assert _weakest_pair(g) == (0, None, [])
+        kappa, cut = minimum_vertex_cut(g)
+        assert kappa == 0 and cut.dtype == np.int32 and cut.size == 0
+        assert vertex_connectivity(g) == 0 and not is_k_connected(g, 1)
+
+    def test_an_isolated_node_runs_no_fan(self, monkeypatch):
+        calls = count_fans(monkeypatch, {})
+        g = graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+        assert _weakest_pair(g) == (0, None, [])
+        assert minimum_vertex_cut(g)[1].size == 0
+        assert calls == {"fans": 0, "pair_values": 0}
+
+    def test_disjoint_unions_match_the_oracle(self):
+        # two random graphs side by side under a random relabelling: a
+        # value of 0 is the one stop, wherever the second part's nodes fall
+        rng = np.random.default_rng(2027)
+        for _ in range(300):
+            n1, n2 = (int(v) for v in rng.integers(1, 13, size=2))
+            a = random_graph(rng, n1, float(rng.choice([0.3, 0.6, 0.9]))).edges
+            b = random_graph(rng, n2, float(rng.choice([0.3, 0.6, 0.9]))).edges
+            perm = rng.permutation(n1 + n2)
+            g = graph(n1 + n2, perm[np.concatenate([a, b + n1])])
+            kappa, cut = minimum_vertex_cut(g)
+            assert kappa == brute_vertex_connectivity(g.n, g.edges) == 0
+            assert cut.size == 0 and _weakest_pair(g) == (0, None, [])
 
     def test_kappa_alone_equals_minimum_vertex_cut_and_the_oracle(self):
         rng = np.random.default_rng(5000)
@@ -462,7 +497,7 @@ class TestLocalConnectivity:
                   ("fig4", 10, 7): (12, 272, 1), ("fig4", 10, 8): (13, 293, 1),
                   ("fig4", 12, 7): (14, 298, 1), ("fig4", 12, 8): (13, 281, 1),
                   ("fig4", 14, 7): (18, 382, 1), ("fig4", 14, 8): (16, 326, 1),
-                  ("fig2", 20, 7): (4, 176, 1), ("fig2", 20, 8): (2, 1, 1),
+                  ("fig2", 20, 7): (4, 176, 1), ("fig2", 20, 8): (2, 78, 1),
                   ("fig2", 35, 7): (12, 250, 1), ("fig2", 35, 8): (14, 296, 1)}
         fig2 = fig2_spec(trials=1)
         samples = [(("fig4", spec.k_list[0]), spec.base)

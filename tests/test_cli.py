@@ -5,6 +5,8 @@ import functools
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -76,7 +78,7 @@ class TestExitCodes:
 
     def test_worker_death_is_runtime_error(self, capsys, tmp_path, monkeypatch):
         fork = multiprocessing.get_context("fork")
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(xp, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(xp, "ProcessPoolExecutor",
                             functools.partial(ProcessPoolExecutor, mp_context=fork))
         monkeypatch.setattr(xp, "_evaluate_trial", _die)
@@ -451,6 +453,17 @@ class TestSampleAnalyze:
               "--alpha", "0.5", "--seed", "321", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("command", ["sample", "fig4"])
+    def test_bad_env_seed_names_itself(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.setenv("KEYGRAPH_SEED", "x")
+        out = tmp_path / "out"
+        args = (["--n", "30", "--P", "30", "--mu", "1.0", "--K", "3",
+                 "--alpha", "0.5"] if command == "sample" else ["--trials", "1"])
+        assert main([command, *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "keygraph: invalid arguments: KEYGRAPH_SEED must be an integer, got 'x'\n"
+        assert not out.exists()
+
 
 class TestRunAndFigures:
     def test_run_spec_writes_csv(self, capsys, tmp_path):
@@ -541,3 +554,37 @@ class TestRunAndFigures:
         assert len(lines) == 3
         dats = list(tmp_path.glob("fig1.*.dat"))
         assert len(dats) == 1
+
+
+# exact kappa and the commands that need no more import no scipy; a k = 2
+# check, which runs scipy's depth-first search, does
+NO_SCIPY = """
+import sys
+from keygraph import (SeedSpec, is_k_connected, minimum_vertex_cut,
+                      run_experiment, sample_network)
+from keygraph.cli import main
+from keygraph.experiments import fig2_spec, fig4_specs
+
+run_experiment(*fig4_specs(trials=1), fig2_spec(trials=1))
+g = sample_network(fig4_specs(trials=1)[0].base, SeedSpec(100, 0)).graph()
+kappa, cut = minimum_vertex_cut(g)
+assert kappa == cut.size >= 3
+model = ["--n", "500", "--P", "10000", "--mu", "0.5,0.5", "--alpha", "0.4"]
+assert main(["prob", *model, "--K", "30,40", "--k", "8"]) == 0
+assert main(["threshold", *model, "--k", "8", "--offsets", "0,10"]) == 0
+assert main(["sample", *model, "--K", "30,40", "--out", sys.argv[1]]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+assert is_k_connected(g, 2)
+assert "scipy" in sys.modules
+"""
+
+
+def test_kappa_commands_load_no_scipy(tmp_path):
+    src = str(Path(xp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path / "net.txt")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "net.txt").exists()

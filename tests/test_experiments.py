@@ -50,7 +50,8 @@ def deletion_spec(depths=(0, 1, 2), trials=12,
 
 
 def counting_pool(monkeypatch, cores):
-    """Report ``cores`` cores and record the worker count of every pool."""
+    """Report ``cores`` usable CPUs and record the worker count of every
+    pool."""
     made = []
 
     class CountingPool(ProcessPoolExecutor):
@@ -58,7 +59,7 @@ def counting_pool(monkeypatch, cores):
             made.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(ex, "_usable_cpus", lambda: cores)
     monkeypatch.setattr(ex, "ProcessPoolExecutor", CountingPool)
     return made
 
@@ -247,6 +248,17 @@ class TestRunExperiment:
         rows = run_experiment(mini_spec(), workers=2)
         assert made == []
         assert rows == run_experiment(mini_spec(), workers=1)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="no CPU affinity on this platform")
+    def test_workers_clamped_to_the_affinity_set(self, monkeypatch):
+        # taskset or a cpuset leaves the process fewer CPUs than the machine
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(ex, "ProcessPoolExecutor",
+                            lambda **kw: pytest.fail("a pool was built"))
+        assert ex._usable_cpus() == 1
+        assert run_experiment(mini_spec(), workers=2) == run_experiment(mini_spec())
 
     def test_deep_k_records_exact_connectivity(self):
         res = run_experiment(mini_spec(k_list=(1, 3)))
