@@ -28,10 +28,16 @@ G - y, which is kappa(x, y) itself.  A tie stays valid when b falls.  Only
 pairs that cannot lower b are skipped, so the first pair of least kappa,
 and the cut from it, are those of the full enumeration.
 
+The k <= 2 checks of :func:`is_k_connected`, and so :func:`is_connected`,
+run Even's test on the same fans (:func:`_even_test`): in a descending
+degree order, the first k nodes pairwise and every later node against the
+nodes before it.
+
 All functions are pure; scratch state is per call, so concurrent use on
 distinct graphs is safe.  scipy is imported only inside the functions that
-run one of its searches, so exact kappa, and every command that needs no
-more, never loads it.
+run one of its searches, :func:`component_count` and the
+:func:`maximum_flow` forwarder, so exact kappa, every connectivity check
+and every command that needs no more never load it.
 """
 
 from __future__ import annotations
@@ -109,24 +115,19 @@ def min_degree(g: Graph) -> int:
     return int(g.degrees.min())
 
 
-def _adjacency(g: Graph):
-    from scipy.sparse import csr_matrix
-    return csr_matrix((np.ones(g.indices.size, dtype=np.int32), g.indices, g.indptr),
-                      shape=(g.n, g.n))
-
-
 # The adjacency is symmetric, so its strong components are the components and
 # a directed search needs no transpose, which scipy's undirected mode adds.
 def component_count(g: Graph) -> int:
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
-    count, _ = connected_components(_adjacency(g), directed=True, connection="strong")
+    adj = csr_matrix((np.ones(g.indices.size, dtype=np.int32), g.indices, g.indptr),
+                     shape=(g.n, g.n))
+    count, _ = connected_components(adj, directed=True, connection="strong")
     return int(count)
 
 
 def is_connected(g: Graph) -> bool:
-    from scipy.sparse.csgraph import breadth_first_order
-    return breadth_first_order(_adjacency(g), 0, directed=True,
-                               return_predecessors=False).size == g.n
+    return g.n == 1 or is_k_connected(g, 1)
 
 
 def maximum_flow(*args, **kwargs):
@@ -150,8 +151,8 @@ def _fan(adj: list, t: int, ends: list, need: int, avoid: int = -1,
     node-split network (each node v an arc v_in -> v_out of capacity one,
     each edge both ways), checking the neighbors of each node it enters for
     a free end before it goes deeper; when none is left the paths are a
-    largest fan (Menger, Ford-Fulkerson).  ``adj`` holds each node's
-    neighbor list; ``ends`` is a node mask (a list), only read, and t never
+    largest fan (Menger, Ford-Fulkerson).  ``adj`` maps each node to a
+    sequence of its neighbors; ``ends`` is a node mask (a list), only read, and t never
     counts as an end.  ``avoid`` is -1 or a node that is neither next to t
     nor an end.
 
@@ -326,44 +327,78 @@ def minimum_vertex_cut(g: Graph) -> tuple:
     return kappa, np.array(cut, dtype=np.int32)
 
 
-def _is_biconnected(g: Graph) -> bool:
-    """Connected with no articulation point (Hopcroft-Tarjan on scipy's DFS).
+class _Rows(dict):
+    """Neighbour rows, each a slice of the CSR made on its first use."""
 
-    Every non-tree edge of a depth-first tree joins a node to an ancestor.
-    So a non-root node v is an articulation point iff some child c has
-    low(c) >= pre(v), low(c) being the least preorder number adjacent to c's
-    subtree (the tree edge c-v only reaches pre(v)); the root is one iff it
-    has more than one child.
+    __slots__ = ("indices", "ptr")
+
+    def __init__(self, g: Graph):
+        self.indices, self.ptr = memoryview(g.indices), g.indptr.tolist()
+
+    def __missing__(self, v: int):
+        row = self[v] = self.indices[self.ptr[v]:self.ptr[v + 1]]
+        return row
+
+
+def _even_test(g: Graph, k: int) -> bool:
+    """True iff the vertex connectivity is at least k, for a graph of
+    minimum degree at least k (Even's test, SIAM J. Comput. 4, 1975).
+
+    Order the nodes v_1, ..., v_n by descending degree (stable).  G is
+    k-connected iff (a) every non-adjacent pair among v_1..v_k has kappa
+    >= k, the fan ``_fan(adj, x, N(y), k, y)``, and (b) every later node
+    v_j reaches k distinct earlier nodes by paths that share only v_j,
+    ``_fan(adj, v_j, earlier, k)``.  Both hold in a k-connected graph
+    (Menger, and its fan form: j > k leaves at least k earlier nodes).
+    Conversely let S be a separator with |S| < k: some v_i with i <= k lies
+    outside S; let v_j be the earliest node outside S and outside v_i's
+    side of G - S.  If j <= k, the pair check of (v_i, v_j) fails.
+    Otherwise every earlier node lies in S or on v_i's side, so S cuts v_j
+    off from all of them and its fan fails.  A node with k earlier
+    neighbours needs no fan; one ``bincount`` over the edges counts them.
+    The fans enter few nodes, so a node's row is sliced from the CSR only
+    when a fan first reads it.
     """
-    n = g.n
-    if n < 3:
-        # Two nodes: biconnected iff the edge exists (complete graph case).
-        return g.m == n * (n - 1) // 2
-    from scipy.sparse.csgraph import depth_first_order
-    order, parent = depth_first_order(_adjacency(g), 0, directed=True)
-    if order.size < n:
-        return False  # disconnected
-    pre = np.empty(n, dtype=np.int64)
-    pre[order] = np.arange(n)
-    # Connected, so every node has a neighbour and no reduceat segment is empty.
-    low = np.minimum.reduceat(pre[g.indices], g.indptr[:-1])[order].tolist()
-    up = pre[parent[order[1:]]].tolist()  # up[i-1]: parent's preorder, node i
-    for i in range(n - 1, 0, -1):
-        p = up[i - 1]
-        if p and low[i] >= p:
+    n, deg = g.n, g.degrees
+    # numpy radix-sorts keys that fit in 16 bits
+    key = (deg.max() - deg).astype(np.uint16) if n <= 1 << 16 else -deg
+    order = np.argsort(key, kind="stable")
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
+    # earlier_nb[j]: the neighbours of order[j] before it in the order; each
+    # edge counts once, at its later end
+    pos = np.take(rank, g.edges)
+    earlier_nb = np.bincount(np.maximum(pos[:, 0], pos[:, 1]), minlength=n)
+    fans = (np.flatnonzero(earlier_nb[k:] < k) + k).tolist()
+    order = order.tolist()
+    adj = _Rows(g)
+    head = order[:k]
+    for i, x in enumerate(head):
+        for y in head[i + 1:]:
+            if y in adj[x]:
+                continue
+            near = [False] * n
+            for v in adj[y]:
+                near[v] = True
+            if _fan(adj, x, near, k, y) < k:
+                return False
+    earlier = [False] * n
+    done = 0
+    for j in fans:
+        for v in order[done:j]:
+            earlier[v] = True
+        done = j
+        if _fan(adj, order[j], earlier, k) < k:
             return False
-        if low[i] < low[p]:
-            low[p] = low[i]
-    return up.count(0) <= 1
+    return True
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
     """True iff the vertex connectivity is at least k (a positive integer).
 
-    Cheap refutations first: the degree bound, then connectivity for k = 1
-    and biconnectivity (which rejects a disconnected graph itself) for
-    k = 2.  For k >= 3 it reads the exact value from
-    :func:`vertex_connectivity`.
+    The degree bound refutes first.  For k <= 2 Even's test decides on the
+    fans of the few nodes that need one (:func:`_even_test`); for k >= 3
+    it reads the exact value from :func:`vertex_connectivity`.
     """
     if g.n < 2:
         raise ValueError("k-connectivity needs at least two nodes")
@@ -371,8 +406,6 @@ def is_k_connected(g: Graph, k: int) -> bool:
         raise ValueError("k must be a positive integer")
     if int(g.degrees.min()) < k:  # delta <= n - 1, so also every k > n - 1
         return False
-    if k == 1:
-        return is_connected(g)
-    if k == 2:
-        return _is_biconnected(g)
+    if k <= 2:
+        return _even_test(g, k)
     return vertex_connectivity(g) >= k

@@ -42,9 +42,12 @@ def _int_list(text: str) -> list:
 def _default_seed() -> int:
     env = os.environ.get("KEYGRAPH_SEED")
     try:
-        return int(env) if env else 0
+        seed = int(env) if env else 0
     except ValueError:
         raise ValueError(f"KEYGRAPH_SEED must be an integer, got {env!r}") from None
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"KEYGRAPH_SEED must lie in [0, 2^64), got {env!r}")
+    return seed
 
 
 def _add_model_flags(p: argparse.ArgumentParser, need_K: bool = True) -> None:

@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import (breadth_first_order, connected_components,
-                                  depth_first_order, maximum_flow)
+                                  maximum_flow)
 
 import keygraph.analysis
 from keygraph import (Graph, ModelParams, SeedSpec, is_connected,
                       is_k_connected, min_degree, minimum_vertex_cut,
                       sample_network, vertex_connectivity)
-from keygraph.analysis import (_fan, _is_biconnected, _weakest_pair,
-                               component_count)
+from keygraph.analysis import _fan, _weakest_pair, component_count
 from keygraph.experiments import fig2_spec, fig4_specs
 from oracles import (brute_local_connectivity, brute_min_cuts,
                      brute_vertex_connectivity, connected_after_removal)
@@ -603,8 +602,38 @@ class TestFan:
         assert found == min(need, brute_local_connectivity(g.n + 1, edges, t, g.n))
 
 
+# two K4s {0, 2, 3, 4} and {1, 5, 6, 7} whose hubs 0 and 1 (degree 4,
+# first in the degree order, not adjacent) meet only at node 8
+HUBS = ([(0, v) for v in (2, 3, 4, 8)] + [(1, v) for v in (5, 6, 7, 8)]
+        + list(itertools.combinations((2, 3, 4), 2))
+        + list(itertools.combinations((5, 6, 7), 2)))
+
+
+@st.composite
+def k2_graphs(draw):
+    """Small random graphs, cycles (where most nodes need a fan), complete
+    graphs and relabelled disjoint unions of two of them."""
+    def one():
+        kind = draw(st.sampled_from(["random", "cycle", "complete"]))
+        if kind == "random":
+            g = draw(small_graphs(min_n=1, max_n=9))
+            return g.n, g.edges.tolist()
+        n = draw(st.integers(3, 9))
+        if kind == "cycle":
+            return n, [(i, (i + 1) % n) for i in range(n)]
+        return n, list(itertools.combinations(range(n), 2))
+
+    n, edges = one()
+    if n < 2 or draw(st.booleans()):
+        m, more = one()
+        edges = edges + [(u + n, v + n) for u, v in more]
+        n += m
+    perm = draw(st.permutations(range(n)))
+    return graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
 class TestBiconnectivity:
-    """The articulation test on scipy's depth-first order."""
+    """k <= 2 by Even's test on the exact fans."""
 
     @pytest.mark.parametrize("n,edges,expect", [
         (4, [(0, 1), (1, 2), (2, 3)], False),  # path
@@ -613,45 +642,49 @@ class TestBiconnectivity:
         (5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)], False),  # root cut
         (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], False),  # split
         (4, K4, True),
-        (2, [(0, 1)], True),
+        (2, [(0, 1)], False),  # kappa of one edge is n - 1 = 1
         (2, [], False),
     ])
     def test_hand_cases(self, n, edges, expect):
         g = graph(n, edges)
-        assert _is_biconnected(g) is expect
-        assert biconnected_oracle(n, g.edges) is expect
+        assert is_k_connected(g, 2) is expect
+        assert (brute_vertex_connectivity(n, g.edges) >= 2) is expect
 
     def test_two_nodes_are_never_2_connected(self):
         # kappa of the single edge is n - 1 = 1 by convention
         assert not is_k_connected(graph(2, [(0, 1)]), 2)
 
+    @pytest.mark.parametrize("extra,expect", [([], False), ([(4, 5)], True)])
+    def test_pair_check_of_non_adjacent_hubs(self, monkeypatch, extra, expect):
+        # the first fan is the pair check of hubs 0 and 1, kappa(0, 1) from
+        # 0 to N(1) in G - 1: 1 through node 8 alone, 2 once 4-5 joins the K4s
+        g = graph(9, HUBS + extra)
+        assert g.degrees[:2].tolist() == [4, 4] and g.degrees[2:].max() <= 4
+        calls = []
+        fan = keygraph.analysis._fan
+
+        def spy(adj, t, ends, need, avoid=-1, **kw):
+            found = fan(adj, t, ends, need, avoid, **kw)
+            calls.append((t, avoid, found))
+            return found
+
+        monkeypatch.setattr(keygraph.analysis, "_fan", spy)
+        assert is_k_connected(g, 2) is expect
+        assert calls[0] == (0, 1, 2 if expect else 1)
+        assert (brute_vertex_connectivity(9, g.edges) >= 2) is expect
+
+    @settings(max_examples=400, deadline=None)
+    @given(k2_graphs())
+    def test_agrees_with_brute_connectivity(self, g):
+        kappa = brute_vertex_connectivity(g.n, g.edges)
+        for k in (1, 2):
+            assert is_k_connected(g, k) == (kappa >= k)
+        assert is_connected(g) == (kappa >= 1)
+
     @settings(max_examples=300, deadline=None)
     @given(small_graphs())
     def test_agrees_with_single_removal_oracle(self, g):
-        expect = biconnected_oracle(g.n, g.edges)
-        assert _is_biconnected(g) == expect
-        assert is_k_connected(g, 2) == expect
-
-    @settings(max_examples=300, deadline=None)
-    @given(small_graphs(min_n=2))
-    def test_scipy_dfs_tree_has_no_cross_edges(self, g):
-        # every non-tree edge must join a node to one of its tree ancestors
-        adj = csr_matrix((np.ones(g.indices.size, dtype=np.int8), g.indices,
-                          g.indptr), shape=(g.n, g.n))
-        order, parent = depth_first_order(adj, 0, directed=True)
-        reached = set(order.tolist())
-
-        def ancestors(v):
-            out = set()
-            while v != order[0]:
-                v = int(parent[v])
-                out.add(v)
-            return out
-
-        for u, v in g.edges.tolist():
-            if u in reached:
-                assert v in reached
-                assert u in ancestors(v) or v in ancestors(u)
+        assert is_k_connected(g, 2) == biconnected_oracle(g.n, g.edges)
 
 
 class TestIsKConnected:
@@ -761,9 +794,9 @@ class TestReport:
     def test_connected_helpers(self):
         assert is_connected(graph(3, PATH3))
         assert not is_connected(graph(3, [(0, 1)]))
-        # both read the symmetric adjacency as a directed graph; the count
-        # is scipy's undirected one on the edge list, isolated nodes and
-        # n = 1 included
+        # the count reads the symmetric adjacency as a directed graph; both
+        # agree with scipy's undirected count on the edge list, isolated
+        # nodes and n = 1 included
         rng = np.random.default_rng(91)
         for n in range(1, 16):
             for density in (0.0, 0.1, 0.3, 0.6):

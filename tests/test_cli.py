@@ -464,6 +464,27 @@ class TestSampleAnalyze:
         assert err == "keygraph: invalid arguments: KEYGRAPH_SEED must be an integer, got 'x'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sample", "fig4"])
+    @pytest.mark.parametrize("value", ["-1", str(2**64)])
+    def test_env_seed_out_of_range_names_itself(self, capsys, tmp_path, monkeypatch,
+                                                command, value):
+        monkeypatch.setenv("KEYGRAPH_SEED", value)
+        out = tmp_path / "out"
+        args = (["--n", "30", "--P", "30", "--mu", "1.0", "--K", "3",
+                 "--alpha", "0.5"] if command == "sample" else ["--trials", "1"])
+        assert main([command, *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("keygraph: invalid arguments: KEYGRAPH_SEED must lie in"
+                       f" [0, 2^64), got {value!r}\n")
+        assert not out.exists()
+
+    def test_largest_env_seed_is_accepted(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("KEYGRAPH_SEED", str(2**64 - 1))
+        out = tmp_path / "net.txt"
+        assert main(["sample", "--n", "30", "--P", "30", "--mu", "1.0", "--K", "3",
+                     "--alpha", "0.5", "--out", str(out)]) == 0
+        assert f"seed={2**64 - 1} " in capsys.readouterr().out
+
 
 class TestRunAndFigures:
     def test_run_spec_writes_csv(self, capsys, tmp_path):
@@ -556,26 +577,29 @@ class TestRunAndFigures:
         assert len(dats) == 1
 
 
-# exact kappa and the commands that need no more import no scipy; a k = 2
-# check, which runs scipy's depth-first search, does
+# exact kappa, the k <= 2 checks and the commands that need no more import
+# no scipy; the component count, which runs scipy's strong components, does
 NO_SCIPY = """
 import sys
-from keygraph import (SeedSpec, is_k_connected, minimum_vertex_cut,
-                      run_experiment, sample_network)
+from keygraph import (SeedSpec, is_connected, is_k_connected,
+                      minimum_vertex_cut, run_experiment, sample_network)
+from keygraph.analysis import component_count
 from keygraph.cli import main
-from keygraph.experiments import fig2_spec, fig4_specs
+from keygraph.experiments import fig1_specs, fig2_spec, fig3_specs, fig4_specs
 
 run_experiment(*fig4_specs(trials=1), fig2_spec(trials=1))
+run_experiment(*fig1_specs(trials=1), *fig3_specs(trials=1))
 g = sample_network(fig4_specs(trials=1)[0].base, SeedSpec(100, 0)).graph()
 kappa, cut = minimum_vertex_cut(g)
 assert kappa == cut.size >= 3
+assert is_k_connected(g, 1) and is_k_connected(g, 2) and is_connected(g)
 model = ["--n", "500", "--P", "10000", "--mu", "0.5,0.5", "--alpha", "0.4"]
 assert main(["prob", *model, "--K", "30,40", "--k", "8"]) == 0
 assert main(["threshold", *model, "--k", "8", "--offsets", "0,10"]) == 0
 assert main(["sample", *model, "--K", "30,40", "--out", sys.argv[1]]) == 0
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
-assert is_k_connected(g, 2)
+assert component_count(g) == 1
 assert "scipy" in sys.modules
 """
 
