@@ -25,7 +25,6 @@ import json
 import math
 import os
 import platform
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -224,6 +223,9 @@ def _run_tasks(tasks: list, workers: int) -> list:
     _hold_heap()  # forked pool workers inherit it
     if workers <= 1 or not tasks:
         return [_evaluate_trial(job, trial) for job, trial in tasks]
+    # imported here: the pool's modules cost a 1-worker run 1.7 MB it never uses
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = math.ceil(len(tasks) / (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_evaluate_trial, *zip(*tasks), chunksize=chunk))

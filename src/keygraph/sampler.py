@@ -17,12 +17,13 @@ always reproduces the same network, bit for bit:
 
 The work is batched without changing that order.  Rings of one size draw
 together (only rows with a repeated draw run Floyd's steps).  Key-sharing
-pairs come from a key -> holders index, not a test of every pair: each
-marks one byte at its own position in the channel stream, so the channel
-reads the raw Philox words of whole-row blocks only at the marked
-positions, and the marks come out deduplicated and in row-major order.
-The result equals the per-node, per-row, per-pair loops over the same
-stream, bit for bit.
+pairs come from a key -> holders index, not a test of every pair: each is
+its own position in the channel stream, once per shared key.  The channel
+reads the raw Philox words in fixed blocks, in stream order, and tests
+only the words at the sorted positions that fall in each block; the
+survivors drop their repeats and come out in row-major order.  The result
+equals the per-node, per-row, per-pair loops over the same stream, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ __all__ = ["SeedSpec", "SampledNetwork", "sample_network", "write_network",
 
 # Floyd's sampling avoids O(P) state but degrades as K/P grows; cutoff per pool.
 _FLOYD_MAX_RING_FRACTION = 64
-# Channel uniforms drawn per rng.random call (whole rows), bounding memory.
-_CHANNEL_CHUNK = 1 << 20
+# Raw channel words drawn per random_raw call (256 KB), bounding memory.
+_CHANNEL_CHUNK = 1 << 15
 
 
 @dataclass
@@ -168,14 +169,6 @@ def _pair_positions(n: int, ring_data: np.ndarray, ring_node: np.ndarray) -> np.
     return np.concatenate(pos) if pos else np.empty(0, dtype=np.int64)
 
 
-def _mark_shared(pos: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Byte mask over channel positions [lo, hi): True where a pair in
-    ``pos`` (from :func:`_pair_positions`) shares a key."""
-    mark = np.zeros(hi - lo, dtype=bool)
-    mark[pos[(pos >= lo) & (pos < hi)] - lo] = True
-    return mark
-
-
 def _channel_on(words: np.ndarray, alpha: float) -> np.ndarray:
     """Channel states from raw Philox words: ``Generator.random() < alpha``.
 
@@ -184,6 +177,27 @@ def _channel_on(words: np.ndarray, alpha: float) -> np.ndarray:
     bit, on the same stream, without converting every word to a double.
     """
     return (words >> 11) < np.uint64(math.ceil(alpha * 2.0 ** 53))
+
+
+def _read_channel(bitgen, pos: np.ndarray, alpha: float, length: int) -> np.ndarray:
+    """The positions in ``pos`` whose channel is on, sorted and distinct.
+
+    ``pos`` is sorted and may repeat a position.  The stream's ``length``
+    raw words are drawn from ``bitgen`` in blocks of ``_CHANNEL_CHUNK``, in
+    order, and each block tests only the words at the positions in it.
+    """
+    on = [pos[:0]]
+    i = 0
+    for lo in range(0, length, _CHANNEL_CHUNK):
+        words = bitgen.random_raw(min(_CHANNEL_CHUNK, length - lo))
+        j = int(np.searchsorted(pos, lo + words.size))
+        block = pos[i:j]
+        on.append(block[_channel_on(words[block - lo], alpha)])
+        i = j
+    on = np.concatenate(on)
+    first = np.ones(on.size, dtype=bool)
+    first[1:] = on[1:] != on[:-1]
+    return on[first]
 
 
 def sample_network(params: ModelParams, seed: SeedSpec) -> SampledNetwork:
@@ -209,20 +223,9 @@ def sample_network(params: ModelParams, seed: SeedSpec) -> SampledNetwork:
         ring_data[pos] = _draw_rings(u_rings[pos], P)
     ring_node = np.repeat(np.arange(n, dtype=np.int64), sizes)
 
-    shared = _pair_positions(n, ring_data, ring_node)
+    shared = np.sort(_pair_positions(n, ring_data, ring_node))
     start = _channel_start(n)
-    kept = []
-    x0 = 0
-    while x0 < n - 1:
-        # Rows [x0, x1): at most _CHANNEL_CHUNK words, or a single long row.
-        x1 = int(np.searchsorted(start, start[x0] + _CHANNEL_CHUNK, "right")) - 1
-        x1 = max(x0 + 1, x1)
-        lo, hi = int(start[x0]), int(start[x1])
-        words = rng.bit_generator.random_raw(hi - lo)
-        flat = np.flatnonzero(_mark_shared(shared, lo, hi))
-        kept.append(flat[_channel_on(words[flat], alpha)] + lo)
-        x0 = x1
-    on = np.concatenate(kept)
+    on = _read_channel(rng.bit_generator, shared, alpha, int(start[n]))
     x = np.searchsorted(start, on, "right") - 1
     edges = np.empty((on.size, 2), dtype=np.int32)
     edges[:, 0] = x
@@ -328,12 +331,12 @@ def read_network(path) -> SampledNetwork:
     start = _channel_start(n)
     codes = start[lo] + hi - lo - 1  # channel positions; self-loops fail first
     ring_node = np.repeat(np.arange(n), np.diff(indptr))
-    shared = _mark_shared(_pair_positions(n, ring_data, ring_node), 0, int(start[n]))
+    shared = np.isin(codes, _pair_positions(n, ring_data, ring_node))
     repeat = np.ones(codes.size, dtype=bool)
     repeat[np.unique(codes, return_index=True)[1]] = False
     for fault, what in ((lo == hi, "self-loop"),
                         (repeat, "repeats an earlier edge"),
-                        (~shared[codes], "its endpoints share no key")):
+                        (~shared, "its endpoints share no key")):
         if fault.any():
             i = int(np.argmax(fault))
             raise bad(edge_lines[i][0], f"edge {edges[i, 0]} {edges[i, 1]}: {what}")

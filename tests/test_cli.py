@@ -1,5 +1,6 @@
 """CLI surface: flags, exit codes, command round trips."""
 
+import concurrent.futures
 import copy
 import functools
 import json
@@ -79,7 +80,7 @@ class TestExitCodes:
     def test_worker_death_is_runtime_error(self, capsys, tmp_path, monkeypatch):
         fork = multiprocessing.get_context("fork")
         monkeypatch.setattr(xp, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(xp, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             functools.partial(ProcessPoolExecutor, mp_context=fork))
         monkeypatch.setattr(xp, "_evaluate_trial", _die)
         rc = main(["fig4", *FIG4_ARGS, "--workers", "2",

@@ -1,10 +1,13 @@
 """Harness semantics: determinism, aggregation, formats, deletion equivalence."""
 
+import concurrent.futures
 import json
 import math
 import os
 import platform
 import re
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -49,9 +52,27 @@ def deletion_spec(depths=(0, 1, 2), trials=12,
                           master_seed=11, record=record)
 
 
+# a 1-worker run leaves the pool's modules unloaded, a 2-worker run loads them
+POOL_IMPORTS = """
+import sys
+import keygraph
+import keygraph.experiments as ex
+from keygraph import run_experiment
+from keygraph.experiments import fig4_specs
+
+pool = {"multiprocessing", "concurrent.futures.process"}
+rows = run_experiment(*fig4_specs(trials=1))
+assert not pool & sys.modules.keys(), pool & sys.modules.keys()
+ex._usable_cpus = lambda: 2  # build the pool on a 1-CPU host too
+assert run_experiment(*fig4_specs(trials=1), workers=2) == rows
+assert pool <= sys.modules.keys(), pool - sys.modules.keys()
+"""
+
+
 def counting_pool(monkeypatch, cores):
     """Report ``cores`` usable CPUs and record the worker count of every
-    pool."""
+    pool.  ``_run_tasks`` imports the pool class from ``concurrent.futures``
+    when it builds one, so that is where the counting class goes."""
     made = []
 
     class CountingPool(ProcessPoolExecutor):
@@ -60,7 +81,7 @@ def counting_pool(monkeypatch, cores):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(ex, "_usable_cpus", lambda: cores)
-    monkeypatch.setattr(ex, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     return made
 
 
@@ -243,6 +264,15 @@ class TestRunExperiment:
             run_experiment(*fig1_specs(trials=1, alphas=(0.4, 0.4)))
         assert list(tmp_path.iterdir()) == []
 
+    def test_only_a_pooled_run_imports_the_pool(self):
+        # a fresh interpreter: this one has imported the pool already
+        src = str(Path(ex.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", POOL_IMPORTS], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+
     def test_workers_clamped_to_core_count(self, monkeypatch):
         made = counting_pool(monkeypatch, cores=1)
         rows = run_experiment(mini_spec(), workers=2)
@@ -255,7 +285,7 @@ class TestRunExperiment:
         # taskset or a cpuset leaves the process fewer CPUs than the machine
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(ex, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             lambda **kw: pytest.fail("a pool was built"))
         assert ex._usable_cpus() == 1
         assert run_experiment(mini_spec(), workers=2) == run_experiment(mini_spec())

@@ -1,6 +1,7 @@
 """Sampler distribution checks, determinism, and dump-format round trips."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,8 @@ from keygraph import (ModelParams, SeedSpec, edge_prob_key, read_network,
                       sample_network, write_network)
 from keygraph.cli import main
 from keygraph.rng import philox_key
-from keygraph.sampler import (_channel_on, _draw_rings, _mark_shared,
-                              _pair_positions)
+from keygraph.sampler import (_channel_on, _channel_start, _draw_rings,
+                              _pair_positions, _read_channel)
 from oracles import (factor_pairs, floyd_ring, naive_intersects,
                      per_row_channel_pairs)
 
@@ -39,7 +40,7 @@ def intersect_rings(a, b) -> bool:
     node = np.repeat(np.arange(2, dtype=np.int64), [len(a), len(b)])
     pos = _pair_positions(2, data, node)
     assert set(pos.tolist()) <= {0}  # (0, 1) is the stream's only position
-    return bool(_mark_shared(pos, 0, 1)[0])
+    return 0 in pos.tolist()
 
 
 class TestIntersectRings:
@@ -245,8 +246,11 @@ class TestBatchedDraws:
 
     @pytest.mark.parametrize("n,K,P,alpha,chunk", [
         (120, (3, 5, 8), 600, 0.3, None),
-        (40, (3, 5, 8), 600, 0.6, 7),  # rows longer and shorter than a chunk
-        (1500, (2, 3, 3), 10**4, 0.02, None),  # two chunks at the default size
+        (40, (3, 5, 8), 600, 0.6, 7),  # blocks split rows and span rows
+        (12, (3, 5, 8), 600, 0.5, 1),  # one word per block
+        (40, (3, 5, 8), 600, 0.6, 10**6),  # one block longer than the stream
+        (300, (1, 1, 2), 10**4, 0.9, 16),  # most blocks hold no shared pair
+        (1500, (2, 3, 3), 10**4, 0.02, None),  # 35 blocks at the default size
     ])
     def test_sample_matches_per_node_and_per_row_reference(self, monkeypatch, n, K,
                                                            P, alpha, chunk):
@@ -265,6 +269,63 @@ class TestBatchedDraws:
         ring = rings(net)
         assert net.edges.tolist() == [[x, y] for x, y in channel
                                       if naive_intersects(ring[x], ring[y])]
+        if chunk == 16:  # the case must leave blocks without a shared pair
+            start = _channel_start(n)
+            blocks = {(start[x] + y - x - 1) // chunk for x in range(n)
+                      for y in range(x + 1, n) if naive_intersects(ring[x], ring[y])}
+            assert len(blocks) < math.ceil(start[n] / chunk) // 2
+
+    @pytest.mark.parametrize("chunk", [1, None])
+    def test_two_nodes(self, monkeypatch, chunk):
+        # n = 2: the stream is one word, and the edge needs a shared key
+        if chunk is not None:
+            monkeypatch.setattr(keygraph.sampler, "_CHANNEL_CHUNK", chunk)
+        p = ModelParams(n=2, mu=(1,), K=(2,), P=6, alpha=0.7)
+        seen = set()
+        for trial in range(40):
+            seed = SeedSpec(8, trial)
+            net = sample_network(p, seed)
+            rng = seed.stream()
+            rng.random(2 + 2 * 2)  # class labels and rings
+            channel = per_row_channel_pairs(rng, 2, p.alpha)
+            meet = naive_intersects(*rings(net))
+            assert net.edges.tolist() == ([[0, 1]] if meet and channel else [])
+            seen.add((meet, bool(channel)))
+        assert len(seen) == 4
+
+    def test_an_empty_stream_reads_no_word(self):
+        # n = 1 has no channel: the model rejects it, and the reader draws
+        # nothing for an empty stream
+        with pytest.raises(ValueError):
+            ModelParams(n=1, mu=(1,), K=(2,), P=6, alpha=0.7)
+        bitgen = SeedSpec(8, 0).stream().bit_generator
+        on = _read_channel(bitgen, np.empty(0, dtype=np.int64), 0.7, 0)
+        assert on.size == 0
+        assert bitgen.random_raw() == SeedSpec(8, 0).stream().bit_generator.random_raw()
+
+    def test_repeated_positions_read_once(self):
+        # a pair that shares two keys is listed twice and read once
+        words = SeedSpec(8, 1).stream().bit_generator.random_raw(10)
+        pos = np.array([0, 0, 3, 7, 7, 7, 9], dtype=np.int64)
+        want = [p for p in (0, 3, 7, 9) if _channel_on(words[p:p + 1], 0.5)[0]]
+        for chunk in (1, 3, 10, 64):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(keygraph.sampler, "_CHANNEL_CHUNK", chunk)
+                bitgen = SeedSpec(8, 1).stream().bit_generator
+                assert _read_channel(bitgen, pos, 0.5, 10).tolist() == want
+
+    def test_traced_peak_stays_small(self):
+        # at n = 2000 the channel stream is 16 MB of raw words, read in
+        # 256 KB blocks
+        p = ModelParams(n=2000, mu=(0.5, 0.5), K=(10, 20), P=10**4, alpha=0.4)
+        sample_network(p, SeedSpec(3, 0))  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            sample_network(p, SeedSpec(3, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20, peak
 
 
 def stream_pair(m: int):
